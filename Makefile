@@ -42,8 +42,8 @@ vet-obs:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# Extended race coverage: the pipeline, the parallel analysis layer, and
-# the delta engine.
+# Extended race coverage: the pipeline, the analysis fold and its snapshot
+# merges, and the delta engine.
 race-full: race
 	$(GO) test -race ./internal/core ./internal/analysis ./internal/delta
 

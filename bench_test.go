@@ -74,6 +74,28 @@ func fixture(b *testing.B) (*core.Census, *core.Result) {
 	return fixtureCensus, fixtureResult
 }
 
+// foldFixture folds the fixture's retained records through a fresh
+// aggregator, joined against the world's web-scan truth the way the census
+// joins them — the analysis cost a table benchmark measures.
+func foldFixture(c *core.Census, res *core.Result) *analysis.Aggregator {
+	world := c.World
+	agg := analysis.NewAggregator(world.ASDB, func(r *analysis.Record) (analysis.HTTPInfo, bool) {
+		ip, ok := r.IPNum()
+		if !ok {
+			return analysis.HTTPInfo{}, false
+		}
+		t, ok := world.Truth(ip)
+		if !ok || !t.FTP {
+			return analysis.HTTPInfo{}, false
+		}
+		return analysis.HTTPInfo{HTTP: t.HTTP, Scripting: t.Scripting}, true
+	})
+	for _, rec := range res.Records {
+		agg.Observe(rec)
+	}
+	return agg
+}
+
 // printOnce emits a table exactly once across all bench iterations.
 var printedTables sync.Map
 
@@ -85,11 +107,11 @@ func printTable(name, body string) {
 
 // BenchmarkTableI_ScanFunnel regenerates Table I.
 func BenchmarkTableI_ScanFunnel(b *testing.B) {
-	_, res := fixture(b)
+	census, res := fixture(b)
 	var f analysis.Funnel
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f = analysis.ComputeFunnel(res.Input)
+		f = foldFixture(census, res).Funnel(census.World.ScanSize)
 	}
 	b.ReportMetric(float64(f.FTPServers), "ftp-servers")
 	b.ReportMetric(f.PctAnonymous, "pct-anon")
@@ -98,11 +120,11 @@ func BenchmarkTableI_ScanFunnel(b *testing.B) {
 
 // BenchmarkTableII_Classification regenerates Table II.
 func BenchmarkTableII_Classification(b *testing.B) {
-	_, res := fixture(b)
+	census, res := fixture(b)
 	var c analysis.Classification
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c = analysis.ComputeClassification(res.Input)
+		c = foldFixture(census, res).Classification()
 	}
 	b.ReportMetric(float64(c.TotalFTP), "classified")
 	printTable("table2", report.Classification(c))
@@ -110,11 +132,11 @@ func BenchmarkTableII_Classification(b *testing.B) {
 
 // BenchmarkTableIII_ASConcentration regenerates Table III.
 func BenchmarkTableIII_ASConcentration(b *testing.B) {
-	_, res := fixture(b)
+	census, res := fixture(b)
 	var a analysis.ASConcentration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a = analysis.ComputeASConcentration(res.Input)
+		a = foldFixture(census, res).ASConcentration()
 	}
 	b.ReportMetric(float64(a.ASesForHalfAll), "ases-for-half")
 	printTable("table3", report.ASConcentration(a))
@@ -122,11 +144,11 @@ func BenchmarkTableIII_ASConcentration(b *testing.B) {
 
 // BenchmarkTableV_ProviderDevices regenerates Tables IV and V.
 func BenchmarkTableV_ProviderDevices(b *testing.B) {
-	_, res := fixture(b)
+	census, res := fixture(b)
 	var d analysis.DeviceBreakdown
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d = analysis.ComputeDevices(res.Input)
+		d = foldFixture(census, res).Devices()
 	}
 	b.ReportMetric(float64(len(d.Provider)), "provider-models")
 	printTable("table45_7", report.Devices(d))
@@ -134,11 +156,11 @@ func BenchmarkTableV_ProviderDevices(b *testing.B) {
 
 // BenchmarkTableVI_TopASes regenerates Table VI.
 func BenchmarkTableVI_TopASes(b *testing.B) {
-	_, res := fixture(b)
+	census, res := fixture(b)
 	var rows []analysis.TopAS
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows = analysis.ComputeTopASes(res.Input, 10)
+		rows = foldFixture(census, res).TopASes(10)
 	}
 	if len(rows) > 0 {
 		b.ReportMetric(float64(rows[0].AnonServers), "top-as-anon")
@@ -149,22 +171,22 @@ func BenchmarkTableVI_TopASes(b *testing.B) {
 // BenchmarkTableVII_ConsumerDevices regenerates Table VII (shares the
 // device computation but reports the consumer side).
 func BenchmarkTableVII_ConsumerDevices(b *testing.B) {
-	_, res := fixture(b)
+	census, res := fixture(b)
 	var d analysis.DeviceBreakdown
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d = analysis.ComputeDevices(res.Input)
+		d = foldFixture(census, res).Devices()
 	}
 	b.ReportMetric(float64(len(d.Consumer)), "consumer-models")
 }
 
 // BenchmarkTableVIII_Extensions regenerates Table VIII.
 func BenchmarkTableVIII_Extensions(b *testing.B) {
-	_, res := fixture(b)
+	census, res := fixture(b)
 	var e analysis.Exposure
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e = analysis.ComputeExposure(res.Input)
+		e = foldFixture(census, res).Exposure()
 	}
 	b.ReportMetric(float64(len(e.Extensions)), "extensions")
 	printTable("table8", report.Extensions(e, 10))
@@ -172,11 +194,11 @@ func BenchmarkTableVIII_Extensions(b *testing.B) {
 
 // BenchmarkTableIX_Sensitive regenerates Table IX.
 func BenchmarkTableIX_Sensitive(b *testing.B) {
-	_, res := fixture(b)
+	census, res := fixture(b)
 	var e analysis.Exposure
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e = analysis.ComputeExposure(res.Input)
+		e = foldFixture(census, res).Exposure()
 	}
 	sensServers := 0
 	for _, s := range e.Sensitive {
@@ -189,11 +211,11 @@ func BenchmarkTableIX_Sensitive(b *testing.B) {
 
 // BenchmarkTableX_ExposureByDevice regenerates Table X.
 func BenchmarkTableX_ExposureByDevice(b *testing.B) {
-	_, res := fixture(b)
+	census, res := fixture(b)
 	var x analysis.ExposureByDevice
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x = analysis.ComputeExposureByDevice(res.Input)
+		x = foldFixture(census, res).ExposureByDevice()
 	}
 	b.ReportMetric(float64(x.Totals["All"]), "exposing-servers")
 	printTable("table10", report.ExposureByDevice(x))
@@ -201,11 +223,11 @@ func BenchmarkTableX_ExposureByDevice(b *testing.B) {
 
 // BenchmarkTableXI_CVEs regenerates Table XI.
 func BenchmarkTableXI_CVEs(b *testing.B) {
-	_, res := fixture(b)
+	census, res := fixture(b)
 	var c analysis.CVEExposure
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c = analysis.ComputeCVEs(res.Input)
+		c = foldFixture(census, res).CVEs()
 	}
 	b.ReportMetric(float64(c.VulnerableIPs), "vulnerable-ips")
 	printTable("table11", report.CVEs(c))
@@ -213,11 +235,11 @@ func BenchmarkTableXI_CVEs(b *testing.B) {
 
 // BenchmarkTableXII_FTPSCerts regenerates Tables XII and XIII plus §IX.
 func BenchmarkTableXII_FTPSCerts(b *testing.B) {
-	_, res := fixture(b)
+	census, res := fixture(b)
 	var f analysis.FTPS
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f = analysis.ComputeFTPS(res.Input, 10)
+		f = foldFixture(census, res).FTPS(10)
 	}
 	b.ReportMetric(float64(f.UniqueCerts), "unique-certs")
 	b.ReportMetric(f.PctSelfSigned, "pct-self-signed")
@@ -227,22 +249,22 @@ func BenchmarkTableXII_FTPSCerts(b *testing.B) {
 // BenchmarkTableXIII_SharedCerts isolates the Table XIII device-cert
 // grouping on the same computation.
 func BenchmarkTableXIII_SharedCerts(b *testing.B) {
-	_, res := fixture(b)
+	census, res := fixture(b)
 	var f analysis.FTPS
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f = analysis.ComputeFTPS(res.Input, 10)
+		f = foldFixture(census, res).FTPS(10)
 	}
 	b.ReportMetric(float64(len(f.DeviceCerts)), "device-cert-families")
 }
 
 // BenchmarkFigure1_ASCDF regenerates Figure 1.
 func BenchmarkFigure1_ASCDF(b *testing.B) {
-	_, res := fixture(b)
+	census, res := fixture(b)
 	var a analysis.ASConcentration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a = analysis.ComputeASConcentration(res.Input)
+		a = foldFixture(census, res).ASConcentration()
 	}
 	b.ReportMetric(float64(len(a.CDFAll)), "ases")
 	printTable("figure1", report.Figure1(a))
@@ -250,11 +272,11 @@ func BenchmarkFigure1_ASCDF(b *testing.B) {
 
 // BenchmarkSectionVI_Malicious regenerates §VI.
 func BenchmarkSectionVI_Malicious(b *testing.B) {
-	_, res := fixture(b)
+	census, res := fixture(b)
 	var m analysis.Malicious
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m = analysis.ComputeMalicious(res.Input)
+		m = foldFixture(census, res).Malicious()
 	}
 	b.ReportMetric(float64(m.WritableServers), "writable-servers")
 	printTable("section6", report.Malicious(m))
@@ -262,11 +284,11 @@ func BenchmarkSectionVI_Malicious(b *testing.B) {
 
 // BenchmarkSectionVII_PortBounce regenerates §VII.B.
 func BenchmarkSectionVII_PortBounce(b *testing.B) {
-	_, res := fixture(b)
+	census, res := fixture(b)
 	var p analysis.PortBounce
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p = analysis.ComputePortBounce(res.Input)
+		p = foldFixture(census, res).PortBounce()
 	}
 	b.ReportMetric(p.PctNotValidated, "pct-unvalidated")
 	b.ReportMetric(p.HomePLShare, "homepl-share")

@@ -10,6 +10,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -125,6 +126,11 @@ func run() error {
 	// the later position and a clean finish removes the consumed file.
 	var resumeSnap *analysis.Snapshot
 	if *resumeFrom != "" {
+		// Notices must cover the hosts seen before the checkpoint too, and
+		// only the ledger still holds those records.
+		if *notifyTo != "" && *out == "" {
+			return fmt.Errorf("-notify with -resume needs -out: notices for the records streamed before the checkpoint are rebuilt from that ledger")
+		}
 		var err error
 		if resumeSnap, err = readCheckpoint(*resumeFrom); err != nil {
 			return err
@@ -134,53 +140,6 @@ func run() error {
 		}
 		fmt.Fprintf(os.Stderr, "ftpcensus: resuming from %s (%d records already streamed)\n",
 			*resumeFrom, resumeSnap.Checkpoint.Streamed)
-	}
-
-	// The dataset is persisted by streaming each record into the JSONL
-	// file as its enumeration finishes — and unless another consumer
-	// needs the retained slice (the notify builder does), the census
-	// runs in streaming-only mode so listings never pile up in memory.
-	// A resume appends to the interrupted ledger after trimming it to
-	// exactly the records the checkpoint accounts for, so the finished
-	// file carries no duplicates and no post-checkpoint stragglers.
-	var streamSink *dataset.WriterSink
-	var streamTo dataset.Sink
-	ran := false
-	if *out != "" && resumeSnap != nil {
-		f, err := openLedgerForResume(*out, resumeSnap.Checkpoint.Streamed)
-		if err != nil {
-			return err
-		}
-		streamSink = dataset.NewWriterSink(f)
-		streamTo = streamSink
-		defer func() {
-			if !ran {
-				streamSink.Close()
-			}
-		}()
-	} else if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		streamSink = dataset.NewWriterSink(f)
-		streamTo = streamSink
-		// Until Run takes ownership of the sink chain, every early-error
-		// return must flush/close the handle and clear the empty file it
-		// would otherwise leave behind.
-		defer func() {
-			if ran {
-				return
-			}
-			streamSink.Close()
-			if streamSink.Count() == 0 {
-				os.Remove(*out)
-			}
-		}()
-	}
-	retain := core.RetainNone
-	if *notifyTo != "" {
-		retain = core.RetainAll
 	}
 
 	if *debugAddr != "" {
@@ -241,8 +200,7 @@ func run() error {
 		LossRate:        *loss,
 		Checkpoint:      policy,
 		Resume:          resumeSnap,
-		RetainRecords:   retain,
-		StreamTo:        streamTo,
+		RetainRecords:   core.RetainNone,
 		ServiceMix:      svcMix,
 		Identify:        *identifyOn,
 		IdentifyWait:    *identifyWait,
@@ -265,6 +223,66 @@ func run() error {
 	}
 	fmt.Fprintf(os.Stderr, "ftpcensus: scanning %d addresses (scale 1:%d, seed %d%s)\n",
 		census.World.ScanSize, *scale, *seed, shardNote)
+
+	// Every consumer of the records streams: the JSONL ledger is written
+	// as each enumeration finishes, and the notify builder folds each
+	// record into per-AS findings, so the census never retains the
+	// dataset. The sinks attach once the world exists, because the
+	// notices attribute findings through its AS database. A resume
+	// appends to the interrupted ledger after trimming it to exactly the
+	// records the checkpoint accounts for, so the finished file carries no
+	// duplicates and no post-checkpoint stragglers; the kept records are
+	// replayed into the notify builder so the notices cover the whole run.
+	var sinks []dataset.Sink
+	var notices *notify.Builder
+	if *notifyTo != "" {
+		notices = notify.NewBuilder(census.World.ASDB)
+	}
+	var streamSink *dataset.WriterSink
+	ran := false
+	if *out != "" && resumeSnap != nil {
+		var replay dataset.Sink
+		if notices != nil {
+			replay = notices
+		}
+		f, err := openLedgerForResume(*out, resumeSnap.Checkpoint.Streamed, replay)
+		if err != nil {
+			return err
+		}
+		streamSink = dataset.NewWriterSink(f)
+		defer func() {
+			if !ran {
+				streamSink.Close()
+			}
+		}()
+	} else if *out != "" {
+		f, err := os.Create(*out)
+		if err != nil {
+			return err
+		}
+		streamSink = dataset.NewWriterSink(f)
+		// Until Run takes ownership of the sink chain, every early-error
+		// return must flush/close the handle and clear the empty file it
+		// would otherwise leave behind.
+		defer func() {
+			if ran {
+				return
+			}
+			streamSink.Close()
+			if streamSink.Count() == 0 {
+				os.Remove(*out)
+			}
+		}()
+	}
+	if streamSink != nil {
+		sinks = append(sinks, streamSink)
+	}
+	if notices != nil {
+		sinks = append(sinks, notices)
+	}
+	if len(sinks) > 0 {
+		census.Config.StreamTo = dataset.Tee(sinks...)
+	}
 
 	if *progress > 0 {
 		rep := &obs.Reporter{Registry: reg, Interval: *progress, Format: censusProgress}
@@ -332,8 +350,8 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		notices := notify.Build(result.Input)
-		for i, n := range notices {
+		list := notices.Notices()
+		for i, n := range list {
 			if i > 0 {
 				fmt.Fprintln(f, strings.Repeat("-", 72))
 			}
@@ -342,7 +360,7 @@ func run() error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "ftpcensus: wrote %d notices to %s\n", len(notices), *notifyTo)
+		fmt.Fprintf(os.Stderr, "ftpcensus: wrote %d notices to %s\n", len(list), *notifyTo)
 	}
 
 	tables := result.ComputeTables()
@@ -466,8 +484,10 @@ func writeCheckpointAtomic(snap *analysis.Snapshot, path string) error {
 // first streamed lines the checkpoint accounts for, then reopens it for
 // appending. Trimming matters in the crash case: records streamed after
 // the last checkpoint was written would otherwise duplicate when the
-// resumed run re-observes their hosts.
-func openLedgerForResume(path string, streamed int) (*os.File, error) {
+// resumed run re-observes their hosts. When replay is non-nil, each kept
+// record is decoded and fed to it, so a sink attached to the resumed run
+// sees the records streamed before the checkpoint too.
+func openLedgerForResume(path string, streamed int, replay dataset.Sink) (*os.File, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("resume ledger: %w", err)
@@ -478,6 +498,15 @@ func openLedgerForResume(path string, streamed int) (*os.File, error) {
 		if n < 0 {
 			return nil, fmt.Errorf("resume ledger %s holds %d records but the checkpoint accounts for %d — wrong file?",
 				path, i, streamed)
+		}
+		if replay != nil {
+			rec := &dataset.HostRecord{}
+			if err := json.Unmarshal(raw[offset:offset+n], rec); err != nil {
+				return nil, fmt.Errorf("resume ledger %s line %d: %w", path, i+1, err)
+			}
+			if err := replay.Observe(rec); err != nil {
+				return nil, fmt.Errorf("resume ledger %s line %d: %w", path, i+1, err)
+			}
 		}
 		offset += n + 1
 	}
@@ -492,9 +521,6 @@ func openLedgerForResume(path string, streamed int) (*os.File, error) {
 // analysis.DecodeSnapshot and merge into its own aggregate.
 func writeAggregateSnapshot(result *core.Result, path string) error {
 	snap := result.Snapshot()
-	if snap == nil {
-		return fmt.Errorf("no aggregate state to snapshot")
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err

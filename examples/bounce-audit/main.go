@@ -17,6 +17,7 @@ import (
 
 	"ftpcloud/internal/core"
 	"ftpcloud/internal/dataset"
+	"ftpcloud/internal/fingerprint"
 	"ftpcloud/internal/report"
 )
 
@@ -43,7 +44,7 @@ func main() {
 		if rec.PortCheck != dataset.PortNotValidated {
 			continue
 		}
-		c := result.Input.Classify(rec)
+		c := fingerprint.Classify(rec)
 		software := c.Software
 		if software == "" {
 			software = "(unidentified)"

@@ -1,10 +1,9 @@
 // Package analysis derives every table and figure in the paper's evaluation
-// from the census dataset. Each experiment has a typed result and two
-// equivalent entry points: a streaming accumulator (the *Acc types, folded
-// record by record as the enumerator fleet emits hosts — see Aggregator) and
-// a batch Compute function over an Input slice. Both paths share the same
-// Observe logic, so their outputs are identical by construction. Nothing
-// here consults the world generator — only wire-level observations, the AS
+// from the census dataset. Each experiment has a typed result and a
+// streaming accumulator (the *Acc types) that folds records one at a time;
+// Aggregator runs all of them in a single pass and is the one entry point,
+// fed record by record as the enumerator fleet emits hosts. Nothing here
+// consults the world generator — only wire-level observations, the AS
 // database, and the external HTTP (Censys-equivalent) join.
 package analysis
 
@@ -46,8 +45,8 @@ type Record struct {
 }
 
 // deriver supplies a Record's derived facts: the AS database and the HTTP
-// join source. The join is a hook rather than a map so the streaming path
-// can answer from its own source without materializing a map first.
+// join source. The join is a hook rather than a map so the census can answer
+// from the world's web-scan truth without materializing a map first.
 type deriver struct {
 	db   *asdb.DB
 	http func(*Record) (HTTPInfo, bool)
@@ -101,94 +100,6 @@ func (r *Record) IPNum() (simnet.IP, bool) {
 		}
 	}
 	return r.ip, r.ipOK
-}
-
-// observer is the incremental-accumulator contract every *Acc implements:
-// fold one record into the running aggregate. Finalize methods are separate
-// and pure, so tables can be produced repeatedly from the same state.
-type observer interface {
-	Observe(r *Record)
-}
-
-// Input is the batch-mode dataset: a retained record slice plus the join
-// sources. Every Compute function folds it through the same accumulators
-// the streaming path uses.
-type Input struct {
-	// IPsScanned is the discovery sweep size (Table I row 1).
-	IPsScanned uint64
-	// Records holds one record per discovery-responsive host.
-	Records []*dataset.HostRecord
-	// ASDB resolves IP→AS.
-	ASDB *asdb.DB
-	// HTTP is the external web-scan join keyed by IP string.
-	HTTP map[string]HTTPInfo
-}
-
-// deriver builds the derivation hooks for this Input's join sources.
-func (in *Input) deriver() deriver {
-	return deriver{
-		db: in.ASDB,
-		http: func(r *Record) (HTTPInfo, bool) {
-			info, ok := in.HTTP[r.Host.IP]
-			return info, ok
-		},
-	}
-}
-
-// fold streams every record through the given accumulators, sharing one
-// derived Record view per host so classification and AS resolution happen
-// at most once no matter how many accumulators run.
-func (in *Input) fold(obs ...observer) {
-	d := in.deriver()
-	for _, host := range in.Records {
-		r := Record{Host: host, d: &d}
-		for _, o := range obs {
-			o.Observe(&r)
-		}
-	}
-}
-
-// Classify returns the fingerprint classification of a record.
-func (in *Input) Classify(rec *dataset.HostRecord) fingerprint.Classification {
-	return fingerprint.Classify(rec)
-}
-
-// AS resolves a record's AS, or nil.
-func (in *Input) AS(rec *dataset.HostRecord) *asdb.AS {
-	if in.ASDB == nil {
-		return nil
-	}
-	ip, err := simnet.ParseIP(rec.IP)
-	if err != nil {
-		return nil
-	}
-	as, ok := in.ASDB.Lookup(ip)
-	if !ok {
-		return nil
-	}
-	return as
-}
-
-// FTPRecords yields only hosts that spoke FTP.
-func (in *Input) FTPRecords() []*dataset.HostRecord {
-	out := make([]*dataset.HostRecord, 0, len(in.Records))
-	for _, r := range in.Records {
-		if r.FTP {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// AnonRecords yields hosts that allowed anonymous login.
-func (in *Input) AnonRecords() []*dataset.HostRecord {
-	out := make([]*dataset.HostRecord, 0, len(in.Records))
-	for _, r := range in.Records {
-		if r.FTP && r.AnonymousOK {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // Writable reports whether a record carries world-writability evidence.

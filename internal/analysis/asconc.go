@@ -123,14 +123,6 @@ func (a *ASConcentrationAcc) Finalize() ASConcentration {
 	}
 }
 
-// ComputeASConcentration derives Table III and Figure 1 from a retained
-// dataset.
-func ComputeASConcentration(in *Input) ASConcentration {
-	var acc ASConcentrationAcc
-	in.fold(&acc)
-	return acc.Finalize()
-}
-
 // concentration sorts AS counts descending and returns the 50% crossing,
 // the type mix of the ASes up to that crossing, and the full CDF.
 func concentration(counts map[uint32]int, asTypes map[uint32]asdb.Type) (half int, types map[asdb.Type]int, cdf []float64) {
@@ -286,14 +278,6 @@ func (a *TopASesAcc) Finalize(n int) []TopAS {
 		out = out[:n]
 	}
 	return out
-}
-
-// ComputeTopASes derives Table VI (top-n ASes by anonymous server count)
-// from a retained dataset.
-func ComputeTopASes(in *Input, n int) []TopAS {
-	var acc TopASesAcc
-	in.fold(&acc)
-	return acc.Finalize(n)
 }
 
 // copyCounts clones a map for a snapshot; nil stays nil.

@@ -102,10 +102,3 @@ func (a *PortBounceAcc) Finalize() PortBounce {
 	b.HomePLShare = percent(a.homePLFailures, b.NotValidated)
 	return b
 }
-
-// ComputePortBounce derives §VII.B from a retained dataset.
-func ComputePortBounce(in *Input) PortBounce {
-	var acc PortBounceAcc
-	in.fold(&acc)
-	return acc.Finalize()
-}

@@ -113,13 +113,6 @@ func (a *ClassificationAcc) Finalize() Classification {
 	return out
 }
 
-// ComputeClassification derives Table II from a retained dataset.
-func ComputeClassification(in *Input) Classification {
-	var acc ClassificationAcc
-	in.fold(&acc)
-	return acc.Finalize()
-}
-
 // DeviceCount is one row of Table V or VII.
 type DeviceCount struct {
 	Model   string
@@ -267,11 +260,4 @@ func (a *DevicesAcc) Finalize() DeviceBreakdown {
 		Consumer: finish(a.consumer),
 		Classes:  finish(a.classes),
 	}
-}
-
-// ComputeDevices derives Tables IV, V, and VII from a retained dataset.
-func ComputeDevices(in *Input) DeviceBreakdown {
-	var acc DevicesAcc
-	in.fold(&acc)
-	return acc.Finalize()
 }

@@ -108,10 +108,3 @@ func (a *CVEsAcc) Finalize() CVEExposure {
 	})
 	return out
 }
-
-// ComputeCVEs derives Table XI from banner version strings.
-func ComputeCVEs(in *Input) CVEExposure {
-	var acc CVEsAcc
-	in.fold(&acc)
-	return acc.Finalize()
-}

@@ -253,13 +253,6 @@ func (a *MaliciousAcc) Finalize() Malicious {
 	return m
 }
 
-// ComputeMalicious derives §VI from a retained dataset.
-func ComputeMalicious(in *Input) Malicious {
-	var acc MaliciousAcc
-	in.fold(&acc)
-	return acc.Finalize()
-}
-
 func hasHolyBible(r *dataset.HostRecord) bool {
 	for i := range r.Files {
 		if strings.EqualFold(r.Files[i].Name, "Holy-Bible.html") {

@@ -1,9 +1,6 @@
 package analysis
 
 import (
-	"runtime"
-	"sync"
-
 	"ftpcloud/internal/asdb"
 	"ftpcloud/internal/dataset"
 )
@@ -121,43 +118,3 @@ func (a *Aggregator) FTPS(topN int) FTPS { return a.ftps.Finalize(topN) }
 // funnel shed before enumeration, by sniffed protocol. Empty on two-stage
 // runs.
 func (a *Aggregator) Unexpected() UnexpectedServices { return a.unexpected.Finalize() }
-
-// AggregateInput folds a retained record slice through a fresh Aggregator.
-// This is the batch-mode bridge: classification and AS resolution — the
-// expensive derivations — are fanned across CPUs first, then the derived
-// records fold sequentially, preserving single-goroutine accumulator state.
-func AggregateInput(in *Input) *Aggregator {
-	agg := NewAggregator(in.ASDB, in.deriver().http)
-	n := len(in.Records)
-	recs := make([]Record, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = 1
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				recs[i] = Record{Host: in.Records[i], d: &agg.d}
-				recs[i].Class()
-				recs[i].AS()
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	for i := range recs {
-		agg.fold(&recs[i])
-	}
-	return agg
-}

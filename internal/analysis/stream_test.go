@@ -20,22 +20,6 @@ type tableSet struct {
 	FTPS             FTPS
 }
 
-func computeAll(in *Input) tableSet {
-	return tableSet{
-		Funnel:           ComputeFunnel(in),
-		Classification:   ComputeClassification(in),
-		ASConcentration:  ComputeASConcentration(in),
-		Devices:          ComputeDevices(in),
-		TopASes:          ComputeTopASes(in, 10),
-		Exposure:         ComputeExposure(in),
-		ExposureByDevice: ComputeExposureByDevice(in),
-		CVEs:             ComputeCVEs(in),
-		Malicious:        ComputeMalicious(in),
-		PortBounce:       ComputePortBounce(in),
-		FTPS:             ComputeFTPS(in, 10),
-	}
-}
-
 func finalizeAll(agg *Aggregator, ipsScanned uint64) tableSet {
 	return tableSet{
 		Funnel:           agg.Funnel(ipsScanned),
@@ -52,15 +36,14 @@ func finalizeAll(agg *Aggregator, ipsScanned uint64) tableSet {
 	}
 }
 
-// TestAggregatorMatchesCompute feeds the hand-built dataset through a
-// streaming Aggregator — in reverse order, to prove order independence —
-// and checks every table against the batch Compute path.
-func TestAggregatorMatchesCompute(t *testing.T) {
+// TestAggregatorOrderIndependent folds the hand-built dataset forward and
+// in reverse and demands identical tables: the census drains records in
+// whatever order the enumerator fleet finishes them, so no accumulator may
+// depend on arrival order.
+func TestAggregatorOrderIndependent(t *testing.T) {
 	in := buildInput(t)
-	agg := NewAggregator(in.ASDB, func(r *Record) (HTTPInfo, bool) {
-		info, ok := in.HTTP[r.Host.IP]
-		return info, ok
-	})
+	forward := observeAll(t, in)
+	agg := in.aggregator()
 	for i := len(in.Records) - 1; i >= 0; i-- {
 		if err := agg.Observe(in.Records[i]); err != nil {
 			t.Fatal(err)
@@ -70,9 +53,9 @@ func TestAggregatorMatchesCompute(t *testing.T) {
 		t.Errorf("Observed = %d, want %d", agg.Observed(), len(in.Records))
 	}
 	got := finalizeAll(agg, in.IPsScanned)
-	want := computeAll(in)
+	want := finalizeAll(forward, in.IPsScanned)
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("streaming tables diverge from batch tables:\n got %+v\nwant %+v", got, want)
+		t.Errorf("reverse-order tables diverge from forward-order tables:\n got %+v\nwant %+v", got, want)
 	}
 
 	// Finalize is pure: a second pass must be identical.
@@ -90,25 +73,23 @@ func TestAggregatorMatchesCompute(t *testing.T) {
 	}
 }
 
-// TestAggregateInputMatchesCompute checks the batch bridge (parallel
-// derivation + sequential fold) against the direct Compute path.
-func TestAggregateInputMatchesCompute(t *testing.T) {
-	in := buildInput(t)
-	agg := AggregateInput(in)
-	got := finalizeAll(agg, in.IPsScanned)
-	want := computeAll(in)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("AggregateInput tables diverge:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// TestAggregatorEmpty: finalizing with no observations must match the
-// batch path over an empty Input.
+// TestAggregatorEmpty: an aggregator that observed nothing must finalize
+// exactly like one rebuilt from an empty snapshot — the empty state has one
+// canonical form, whichever way a shard or resume arrives at it.
 func TestAggregatorEmpty(t *testing.T) {
-	in := &Input{IPsScanned: 10}
 	agg := NewAggregator(nil, nil)
+	raw, err := NewAggregator(nil, nil).Snapshot().EncodeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := DecodeSnapshotBytes(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := NewAggregator(nil, nil)
+	restored.MergeSnapshot(snap)
 	got := finalizeAll(agg, 10)
-	want := computeAll(in)
+	want := finalizeAll(restored, 10)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("empty aggregate diverges:\n got %+v\nwant %+v", got, want)
 	}

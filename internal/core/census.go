@@ -128,9 +128,9 @@ type CensusConfig struct {
 	HostBudget time.Duration
 	ByteBudget int64
 
-	// RetainRecords chooses what Run keeps after folding each record
-	// into the analysis accumulators. The zero value (RetainAll) is the
-	// legacy buffered mode.
+	// RetainRecords chooses whether Run also keeps each record in
+	// Result.Records after folding it into the analysis accumulators. The
+	// tables never need the records; see Retention.
 	RetainRecords Retention
 	// StreamTo, when non-nil, receives every record the moment its
 	// enumeration finishes — ahead of the analysis accumulators in the
@@ -173,13 +173,15 @@ type CensusConfig struct {
 type Retention int
 
 const (
-	// RetainAll keeps every HostRecord: Result.Records and the legacy
-	// analysis Input are populated. The default.
+	// RetainAll additionally keeps every HostRecord in Result.Records,
+	// for callers that inspect individual hosts (tests, the bounce-audit
+	// example). The tables are the same either way. The default.
 	RetainAll Retention = iota
 	// RetainNone streams: each record is folded into the analysis
 	// accumulators (and StreamTo) as it arrives and then dropped, so
 	// peak memory is the aggregate state, not the dataset — listings
-	// never accumulate. Result.Records and Result.Input stay nil.
+	// never accumulate. Result.Records stays nil. Every CLI runs this way;
+	// consumers that need per-record detail attach a StreamTo sink.
 	RetainNone
 )
 
@@ -303,10 +305,8 @@ func NewCensus(cfg CensusConfig) (*Census, error) {
 
 // Result is a completed census.
 type Result struct {
-	// Input and Records are populated only in RetainAll mode; in
-	// streaming mode the records were folded into the accumulators and
-	// released.
-	Input   *analysis.Input
+	// Records is populated only in RetainAll mode; in streaming mode the
+	// records were folded into the accumulators and released.
 	Records []*dataset.HostRecord
 
 	// Observed counts the records that flowed through the sink chain —
@@ -402,7 +402,6 @@ type shardOutcome struct {
 	agg       *analysis.Aggregator
 	robust    Robustness
 	records   []*dataset.HostRecord
-	join      map[string]analysis.HTTPInfo
 	scanDur   time.Duration
 	probed    uint64
 	responded uint64
@@ -461,17 +460,10 @@ func (c *Census) runShard(ctx context.Context, cancel context.CancelFunc, start 
 		Metrics:    c.Config.Metrics,
 	}
 
-	// The sink chain. The aggregator resolves each record's HTTP join
-	// through a per-record truth lookup — replacing the old post-hoc
-	// join over a `discovered` slice that could be left inconsistent
-	// with in-flight records on cancellation. In retained mode the same
-	// hook also materializes the legacy Input.HTTP map as a side effect,
-	// so the map covers exactly the records that flowed.
+	// The sink chain. The aggregator resolves each record's HTTP join —
+	// the paper's Censys web-scan dataset — from the world's web-scan
+	// truth, which the generator draws independently of the FTP scan.
 	retained := c.Config.RetainRecords == RetainAll
-	var join map[string]analysis.HTTPInfo
-	if retained {
-		join = make(map[string]analysis.HTTPInfo)
-	}
 	world := c.World
 	httpHook := func(r *analysis.Record) (analysis.HTTPInfo, bool) {
 		ip, ok := r.IPNum()
@@ -482,11 +474,7 @@ func (c *Census) runShard(ctx context.Context, cancel context.CancelFunc, start 
 		if !ok || !truth.FTP {
 			return analysis.HTTPInfo{}, false
 		}
-		info := analysis.HTTPInfo{HTTP: truth.HTTP, Scripting: truth.Scripting}
-		if join != nil {
-			join[r.Host.IP] = info
-		}
-		return info, true
+		return analysis.HTTPInfo{HTTP: truth.HTTP, Scripting: truth.Scripting}, true
 	}
 	agg := analysis.NewAggregator(c.World.ASDB, httpHook)
 	sinks := make([]dataset.Sink, 0, 3)
@@ -630,7 +618,6 @@ func (c *Census) runShard(ctx context.Context, cancel context.CancelFunc, start 
 	o.responded = scanner.Stats.Responded.Load()
 	if retained {
 		o.records = coll.Records
-		o.join = join
 	}
 	return o
 }
@@ -674,7 +661,6 @@ func (c *Census) assemble(ctx context.Context, start time.Time, outcomes []*shar
 		scanned:      c.World.ScanSize,
 	}
 	records := base.records
-	join := base.join
 	for _, o := range outcomes[1:] {
 		agg.Merge(o.agg)
 		robust.Merge(o.robust)
@@ -684,9 +670,6 @@ func (c *Census) assemble(ctx context.Context, start time.Time, outcomes []*shar
 			result.ScanDuration = o.scanDur
 		}
 		records = append(records, o.records...)
-		for ip, info := range o.join {
-			join[ip] = info
-		}
 	}
 	// A resumed run folds the previous run's checkpoint in last: the saved
 	// aggregate merges like one more shard (additive, order-independent),
@@ -703,12 +686,6 @@ func (c *Census) assemble(ctx context.Context, start time.Time, outcomes []*shar
 	result.EnumDuration = time.Since(start)
 	if c.Config.RetainRecords == RetainAll {
 		result.Records = records
-		result.Input = &analysis.Input{
-			IPsScanned: c.World.ScanSize,
-			Records:    records,
-			ASDB:       c.World.ASDB,
-			HTTP:       join,
-		}
 	}
 
 	// Error precedence: a broken sink is fatal (the dataset is suspect)
@@ -806,40 +783,6 @@ func (m *censusMetrics) record(rec *dataset.HostRecord) {
 	}
 }
 
-// HTTPJoin plays the role of the paper's Censys HTTP dataset: an external
-// scan of the same address space reporting web servers and their scripting
-// headers. In the simulation the web-scan ground truth comes from the world
-// generator, exactly as Censys is generated independently of the FTP scan.
-func (c *Census) HTTPJoin(records []*dataset.HostRecord) map[string]analysis.HTTPInfo {
-	ips := make([]simnet.IP, 0, len(records))
-	for _, rec := range records {
-		if !rec.FTP {
-			continue
-		}
-		ip, err := simnet.ParseIP(rec.IP)
-		if err != nil {
-			continue
-		}
-		ips = append(ips, ip)
-	}
-	return c.httpJoinIPs(ips)
-}
-
-// httpJoinIPs builds the join from numeric addresses. The census pipeline
-// feeds it the discovery results directly, so host IPs never round-trip
-// through their string form on this path.
-func (c *Census) httpJoinIPs(ips []simnet.IP) map[string]analysis.HTTPInfo {
-	join := make(map[string]analysis.HTTPInfo, len(ips))
-	for _, ip := range ips {
-		truth, ok := c.World.Truth(ip)
-		if !ok || !truth.FTP {
-			continue
-		}
-		join[ip.String()] = analysis.HTTPInfo{HTTP: truth.HTTP, Scripting: truth.Scripting}
-	}
-	return join
-}
-
 // Tables bundles every computed experiment.
 type Tables struct {
 	Funnel           analysis.Funnel
@@ -862,30 +805,18 @@ type Tables struct {
 }
 
 // Snapshot returns the serializable aggregate state this run folded — the
-// mergeable/checkpoint form of the census (see analysis.Snapshot). Nil for
-// hand-built results that never ran a pipeline.
+// mergeable/checkpoint form of the census (see analysis.Snapshot).
 func (r *Result) Snapshot() *analysis.Snapshot {
-	if r.agg == nil {
-		return nil
-	}
 	return r.agg.Snapshot()
 }
 
-// ComputeTables produces every analysis table. After a census run this is
-// a thin finalize over the accumulators the pipeline already folded — no
-// record is touched again, which is what lets streaming mode drop them.
-// For hand-built Results (an Input loaded from disk, say) it folds the
-// retained records through a fresh aggregator first, fanning the per-record
-// derivation across CPUs.
+// ComputeTables produces every analysis table: a thin finalize over the
+// accumulators the pipeline already folded — no record is touched again,
+// which is what lets streaming mode drop them.
 func (r *Result) ComputeTables() Tables {
 	agg := r.agg
-	scanned := r.scanned
-	if agg == nil {
-		agg = analysis.AggregateInput(r.Input)
-		scanned = r.Input.IPsScanned
-	}
 	return Tables{
-		Funnel:           agg.Funnel(scanned),
+		Funnel:           agg.Funnel(r.scanned),
 		Classification:   agg.Classification(),
 		ASConcentration:  agg.ASConcentration(),
 		Devices:          agg.Devices(),
@@ -925,9 +856,6 @@ type HoneypotStudyConfig struct {
 	// nil means time.Now. Injecting honeypot.SimClock makes timelines
 	// reproducible run to run.
 	Now func() time.Time
-	// Buffered additionally retains per-honeypot event Logs — only sane at
-	// legacy scale (equivalence tests).
-	Buffered bool
 	// Metrics, when non-nil, wires the study into one registry: network
 	// counters (simnet.*), honeypot fold counters (honeypot.*), and
 	// attacker fleet progress (attacker.*).
@@ -936,9 +864,9 @@ type HoneypotStudyConfig struct {
 
 // HoneypotStudy deploys a differentiated honeypot fleet on a fresh network,
 // runs the attacker fleet, and finalizes the streamed report. No event is
-// buffered (unless cfg.Buffered): every session folds into the streaming
-// accumulator as it happens, so live memory is bounded by the population,
-// not the session count.
+// buffered: every session folds into the streaming accumulator as it
+// happens, so live memory is bounded by the population, not the session
+// count.
 func HoneypotStudy(ctx context.Context, cfg HoneypotStudyConfig) (honeypot.Report, error) {
 	if cfg.Honeypots <= 0 {
 		cfg.Honeypots = 8
@@ -952,15 +880,14 @@ func HoneypotStudy(ctx context.Context, cfg HoneypotStudyConfig) (honeypot.Repor
 	provider := simnet.NewStaticProvider()
 	acc := honeypot.NewAccumulator()
 	dep, err := honeypot.DeployFleet(provider, honeypot.FleetConfig{
-		Base:     HoneypotBase,
-		Count:    cfg.Honeypots,
-		Seed:     cfg.Seed,
-		Mix:      cfg.LureMix,
-		Acc:      acc,
-		Events:   cfg.Events,
-		Buffered: cfg.Buffered,
-		Now:      cfg.Now,
-		Metrics:  cfg.Metrics,
+		Base:    HoneypotBase,
+		Count:   cfg.Honeypots,
+		Seed:    cfg.Seed,
+		Mix:     cfg.LureMix,
+		Acc:     acc,
+		Events:  cfg.Events,
+		Now:     cfg.Now,
+		Metrics: cfg.Metrics,
 	})
 	if err != nil {
 		return honeypot.Report{}, err

@@ -135,19 +135,13 @@ func TestCensusWithLossAndRetries(t *testing.T) {
 }
 
 func TestHTTPJoin(t *testing.T) {
-	c, res := testCensus(t, 65536)
-	join := c.HTTPJoin(res.Records)
-	if len(join) == 0 {
-		t.Fatal("empty HTTP join")
-	}
-	withHTTP := 0
-	for _, info := range join {
-		if info.HTTP {
-			withHTTP++
-		}
+	_, res := testCensus(t, 65536)
+	m := res.ComputeTables().Malicious
+	if m.TotalFTP == 0 || m.HTTPOverlap == 0 {
+		t.Fatalf("empty HTTP join: %d of %d FTP hosts serve HTTP", m.HTTPOverlap, m.TotalFTP)
 	}
 	// Around 65% of FTP hosts also serve HTTP.
-	rate := float64(withHTTP) / float64(len(join))
+	rate := float64(m.HTTPOverlap) / float64(m.TotalFTP)
 	if rate < 0.4 || rate > 0.9 {
 		t.Errorf("HTTP overlap rate = %.2f, want ≈0.65", rate)
 	}

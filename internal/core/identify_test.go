@@ -171,9 +171,9 @@ func TestIdentifyMixedWorldSheds(t *testing.T) {
 
 // TestIdentifyShardedUnexpectedMerge: N shard pipelines each run their own
 // identification pool, and the merged unexpected-services table (and full
-// report) is byte-identical to the single-pipeline run — the shed ledger is
-// an additive fold with deterministic tie-breaking like every other
-// accumulator. Per-shard identify counters must sum to the merged view.
+// report, and the disclosure notices) is byte-identical to the
+// single-pipeline run — the shed ledger is an additive fold with
+// deterministic tie-breaking like every other accumulator. Per-shard identify counters must sum to the merged view.
 func TestIdentifyShardedUnexpectedMerge(t *testing.T) {
 	reg := obs.NewRegistry()
 	c, err := NewCensus(CensusConfig{
@@ -187,20 +187,24 @@ func TestIdentifyShardedUnexpectedMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := c.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	single, wantNotices := noticesOver(t, c, 1)
 	st := single.ComputeTables()
 	if st.Unexpected.Total == 0 {
 		t.Fatal("single-pipeline run shed nothing — merge test is vacuous")
+	}
+	if wantNotices == "" {
+		t.Fatal("single-pipeline run produced no notices — comparison is vacuous")
 	}
 	want := st.RenderFull()
 
 	for _, shards := range []int{2, 4} {
 		before := reg.Snapshot()
-		res := shardedOver(t, c, shards)
+		res, notices := noticesOver(t, c, shards)
 		delta := reg.Snapshot().Sub(before)
+		if notices != wantNotices {
+			t.Errorf("%d shards: disclosure notices diverge from single-pipeline run (%d vs %d bytes)",
+				shards, len(notices), len(wantNotices))
+		}
 		rt := res.ComputeTables()
 		if !reflect.DeepEqual(rt.Unexpected, st.Unexpected) {
 			t.Errorf("%d shards: unexpected-services table diverges:\n got %+v\nwant %+v",

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"ftpcloud/internal/analysis"
 	"ftpcloud/internal/dataset"
 )
 
@@ -30,8 +29,8 @@ func (p *listingProbe) Close() error {
 	return nil
 }
 
-// TestStreamingMatchesRetained runs the same world twice — once retained
-// (legacy), once streaming-only — and demands byte-identical table output.
+// TestStreamingMatchesRetained runs the same world twice — once retaining
+// records, once streaming-only — and demands byte-identical table output.
 // The world is shared between the runs rather than regenerated: certificate
 // DER (and so fingerprints) varies across GeneratePool calls because Go's
 // ECDSA signer is intentionally randomized (see internal/certs).
@@ -44,9 +43,8 @@ func TestStreamingMatchesRetained(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if streaming.Records != nil || streaming.Input != nil {
-		t.Errorf("streaming run retained records: Records=%d Input=%v",
-			len(streaming.Records), streaming.Input != nil)
+	if streaming.Records != nil {
+		t.Errorf("streaming run retained %d records", len(streaming.Records))
 	}
 	if streaming.Observed != len(retained.Records) {
 		t.Errorf("streaming observed %d records, retained run kept %d",
@@ -60,35 +58,6 @@ func TestStreamingMatchesRetained(t *testing.T) {
 	}
 	if got.Render() != want.Render() {
 		t.Error("streaming table render diverges from retained render")
-	}
-}
-
-// TestAccumulatorMatchesSlicePath checks that the retained-mode
-// ComputeTables (which reuses the streaming aggregator) agrees with
-// computing every table directly from the retained Input slices.
-func TestAccumulatorMatchesSlicePath(t *testing.T) {
-	_, res := testCensus(t, 32768)
-	in := res.Input
-
-	got := res.ComputeTables()
-	want := Tables{
-		Funnel:           analysis.ComputeFunnel(in),
-		Classification:   analysis.ComputeClassification(in),
-		ASConcentration:  analysis.ComputeASConcentration(in),
-		Devices:          analysis.ComputeDevices(in),
-		TopASes:          analysis.ComputeTopASes(in, 10),
-		Exposure:         analysis.ComputeExposure(in),
-		ExposureByDevice: analysis.ComputeExposureByDevice(in),
-		CVEs:             analysis.ComputeCVEs(in),
-		Malicious:        analysis.ComputeMalicious(in),
-		PortBounce:       analysis.ComputePortBounce(in),
-		FTPS:             analysis.ComputeFTPS(in, 10),
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("accumulator tables are not deep-equal to the slice-path tables")
-	}
-	if got.Render() != want.Render() {
-		t.Error("accumulator render diverges from slice-path render")
 	}
 }
 
@@ -119,7 +88,7 @@ func TestStreamingRetainsNoListings(t *testing.T) {
 	if probe.withFiles == 0 {
 		t.Fatal("no record carried a file listing — world too small to exercise retention")
 	}
-	if res.Records != nil || res.Input != nil {
+	if res.Records != nil {
 		t.Error("streaming-only result still retains records")
 	}
 

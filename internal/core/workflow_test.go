@@ -21,13 +21,15 @@ func TestDownstreamWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	builder := notify.NewBuilder(census.World.ASDB)
+	census.Config.StreamTo = builder
 	result, err := census.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Disclosure notices must exist and withhold file names.
-	notices := notify.Build(result.Input)
+	notices := builder.Notices()
 	if len(notices) == 0 {
 		t.Fatal("census produced no disclosure notices")
 	}

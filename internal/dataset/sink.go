@@ -58,8 +58,8 @@ func (s *WriterSink) Close() error {
 	return err
 }
 
-// Collector retains every record in memory — the legacy buffered mode, and
-// the natural sink for tests.
+// Collector retains every record in memory — what a census keeps in
+// RetainAll mode, and the natural sink for tests.
 type Collector struct {
 	Records []*HostRecord
 }
@@ -142,6 +142,8 @@ func (s keepOpenSink) Close() error { return nil }
 
 // Tee fans every record out to each sink in order. Observe stops at the
 // first failing sink; Close closes every sink and reports the first error.
+// Flush flushes every sink that has a Flush method, so a checkpoint that
+// flushes a tee still reaches the ledger inside it.
 func Tee(sinks ...Sink) Sink {
 	if len(sinks) == 1 {
 		return sinks[0]
@@ -165,6 +167,18 @@ func (m multiSink) Close() error {
 	for _, s := range m {
 		if err := s.Close(); err != nil && first == nil {
 			first = err
+		}
+	}
+	return first
+}
+
+func (m multiSink) Flush() error {
+	var first error
+	for _, s := range m {
+		if f, ok := s.(interface{ Flush() error }); ok {
+			if err := f.Flush(); err != nil && first == nil {
+				first = err
+			}
 		}
 	}
 	return first

@@ -74,6 +74,48 @@ func TestCollectorAndCounter(t *testing.T) {
 	}
 }
 
+// TestTeeForwardsFlush: a tee of a buffering ledger and a sink without a
+// Flush method must still flush the ledger — the census checkpoint flushes
+// its stream sink at quiescence, and a tee that swallowed the flush would
+// let the checkpoint count records not yet on disk.
+func TestTeeForwardsFlush(t *testing.T) {
+	var buf bytes.Buffer
+	ledger := NewWriterSink(&buf)
+	var coll Collector
+	tee := Tee(ledger, &coll)
+	if err := tee.Observe(sampleRecord()); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != 0 {
+		t.Fatal("writer sink flushed before Flush — test cannot tell forwarding apart")
+	}
+	f, ok := tee.(interface{ Flush() error })
+	if !ok {
+		t.Fatal("tee has no Flush method")
+	}
+	if err := f.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReadAll(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || len(coll.Records) != 1 {
+		t.Errorf("after Flush: ledger holds %d records, collector %d; want 1 and 1", len(recs), len(coll.Records))
+	}
+
+	boom := errors.New("boom")
+	if err := Tee(failFlusher{boom}, ledger).(interface{ Flush() error }).Flush(); !errors.Is(err, boom) {
+		t.Errorf("Flush error = %v, want %v", err, boom)
+	}
+}
+
+type failFlusher struct{ err error }
+
+func (failFlusher) Observe(*HostRecord) error { return nil }
+func (failFlusher) Close() error              { return nil }
+func (f failFlusher) Flush() error            { return f.err }
+
 type failSink struct{ err error }
 
 func (f failSink) Observe(*HostRecord) error { return f.err }

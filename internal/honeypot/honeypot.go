@@ -1,6 +1,6 @@
 // Package honeypot implements §VIII's measurement apparatus: anonymous,
-// world-writable FTP servers that record every interaction, plus the
-// summarizer that turns interaction logs into the paper's reported
+// world-writable FTP servers that report every interaction, plus the
+// streaming accumulator that folds those events into the paper's reported
 // statistics (scanning IPs, FTP speakers, credential guesses, write probes,
 // PORT-bounce attempts, exploit attempts, AUTH TLS fingerprinting).
 package honeypot
@@ -8,82 +8,19 @@ package honeypot
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"time"
 
-	"ftpcloud/internal/certs"
-	"ftpcloud/internal/ftpserver"
-	"ftpcloud/internal/obs"
-	"ftpcloud/internal/personality"
 	"ftpcloud/internal/simnet"
 	"ftpcloud/internal/vfs"
 )
 
-// Log records one honeypot's observed events. It implements
-// ftpserver.Observer and is safe for concurrent sessions.
-type Log struct {
-	mu      sync.Mutex
-	events  []ftpserver.Event
-	counter *obs.Counter
-}
-
-// BindCounter mirrors every subsequently recorded event into c — the
-// registry view of honeypot activity. Bind before traffic flows.
-func (l *Log) BindCounter(c *obs.Counter) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.counter = c
-}
-
-// Event implements ftpserver.Observer.
-func (l *Log) Event(e ftpserver.Event) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = append(l.events, e)
-	if l.counter != nil {
-		l.counter.Inc()
-	}
-}
-
-// Events returns a copy of the recorded events.
-func (l *Log) Events() []ftpserver.Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]ftpserver.Event(nil), l.events...)
-}
-
-// Len returns the number of recorded events.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
-}
-
 // Deployment is a set of live honeypots on a simulated network.
 type Deployment struct {
-	IPs  []simnet.IP
-	Logs map[simnet.IP]*Log
-	// Lures records each honeypot's lure strategy (legacy deployments are
-	// all LureWebroot).
+	IPs []simnet.IP
+	// Lures records each honeypot's lure strategy.
 	Lures map[simnet.IP]LureStrategy
-	// Acc is the streaming accumulator a DeployFleet deployment folds
-	// into; nil on legacy buffered deployments.
+	// Acc is the streaming accumulator every honeypot folds its events
+	// into.
 	Acc *Accumulator
-}
-
-// BindMetrics mirrors the deployment's event stream into the registry.
-// Streaming deployments bind the accumulator's instruments; legacy buffered
-// deployments mirror each Log into the honeypot.events counter. Bind before
-// the attacker fleet runs.
-func (d *Deployment) BindMetrics(reg *obs.Registry) {
-	if d.Acc != nil {
-		d.Acc.BindMetrics(reg)
-		return
-	}
-	c := reg.Counter("honeypot.events")
-	for _, log := range d.Logs {
-		log.BindCounter(c)
-	}
 }
 
 // baitFS builds the honeypot tree: writable root plus the web-root bait
@@ -100,45 +37,7 @@ func baitFS() *vfs.FS {
 	return vfs.New(root)
 }
 
-// Deploy installs count honeypots starting at base on the provider. The
-// honeypots pose as a ProFTPD server vulnerable-looking enough to attract
-// CVE probes and accept any anonymous activity.
-func Deploy(provider *simnet.StaticProvider, base simnet.IP, count int, cert *certs.Cert) (*Deployment, error) {
-	if count <= 0 {
-		return nil, fmt.Errorf("honeypot: count must be positive")
-	}
-	d := &Deployment{
-		Logs:  make(map[simnet.IP]*Log, count),
-		Lures: make(map[simnet.IP]LureStrategy, count),
-	}
-	for i := 0; i < count; i++ {
-		ip := simnet.IP(uint64(base) + uint64(i))
-		log := &Log{}
-		cfg := ftpserver.Config{
-			Pers:           personality.ByKey(personality.KeyProFTPD135),
-			FS:             baitFS(),
-			HostName:       fmt.Sprintf("honeypot-%d.example.edu", i),
-			PublicIP:       ip,
-			AllowAnonymous: true,
-			AnonWritable:   true,
-			Users:          map[string]string{}, // all real logins fail but are recorded
-			Cert:           cert,
-			Observer:       log,
-			IdleTimeout:    20 * time.Second,
-		}
-		srv, err := ftpserver.New(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("honeypot: building server %d: %w", i, err)
-		}
-		provider.Add(ip, 21, srv.SimHandler())
-		d.IPs = append(d.IPs, ip)
-		d.Logs[ip] = log
-		d.Lures[ip] = LureWebroot
-	}
-	return d, nil
-}
-
-// Summary aggregates a deployment's logs into §VIII's statistics.
+// Summary is §VIII's statistics over a deployment's events.
 type Summary struct {
 	// UniqueScanners counts distinct remote IPs that connected at all.
 	UniqueScanners int
@@ -178,37 +77,6 @@ type Summary struct {
 	// share (the paper's "over 30% from China Unicom Henan" analogue).
 	TopSourcePrefix      string
 	TopSourcePrefixShare float64
-}
-
-// Summarize folds a deployment into a Summary. Streaming deployments
-// finalize their accumulator directly; buffered deployments replay every
-// retained Log through a fresh accumulator — one fold implementation serves
-// both paths, which is what makes streamed and buffered tables byte-identical
-// (TestStreamedMatchesBufferedSummary). Every fold is commutative and the
-// finalize tie-breaks lexicographically, so the replay order cannot matter.
-func Summarize(d *Deployment) Summary {
-	return Replay(d).Summary()
-}
-
-// Replay folds a deployment's state into an accumulator: the streaming
-// accumulator as-is, or the buffered Logs replayed event by event.
-func Replay(d *Deployment) *Accumulator {
-	if d.Acc != nil {
-		return d.Acc
-	}
-	acc := NewAccumulator()
-	for ip, log := range d.Logs {
-		ipStr := ip.String()
-		lure := d.Lures[ip]
-		if lure == "" {
-			lure = LureWebroot
-		}
-		acc.Register(ipStr, lure, time.Time{})
-		for _, e := range log.Events() {
-			acc.observe(ipStr, e)
-		}
-	}
-	return acc
 }
 
 // Render formats the summary as a §VIII-style report.

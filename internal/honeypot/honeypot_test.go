@@ -21,7 +21,12 @@ func deployTest(t *testing.T, count int) (*simnet.Network, *Deployment) {
 		t.Fatal(err)
 	}
 	provider := simnet.NewStaticProvider()
-	dep, err := Deploy(provider, simnet.MustParseIP("100.64.0.1"), count, pool.Get("hp"))
+	dep, err := DeployFleet(provider, FleetConfig{
+		Base:  simnet.MustParseIP("100.64.0.1"),
+		Count: count,
+		Mix:   LureMix{Webroot: 1},
+		Cert:  pool.Get("hp"),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +35,7 @@ func deployTest(t *testing.T, count int) (*simnet.Network, *Deployment) {
 
 func TestDeployValidation(t *testing.T) {
 	provider := simnet.NewStaticProvider()
-	if _, err := Deploy(provider, 1, 0, nil); err == nil {
+	if _, err := DeployFleet(provider, FleetConfig{Base: 1, Mix: LureMix{Webroot: 1}}); err == nil {
 		t.Error("zero-count deploy accepted")
 	}
 }
@@ -54,7 +59,7 @@ func TestDeployServesAnonymousWritable(t *testing.T) {
 	if r, _ := c.Cmd("MKD", "/droptest"); r.Code != ftp.CodePathCreated {
 		t.Fatalf("MKD: %+v", r)
 	}
-	if dep.Logs[dep.IPs[0]].Len() == 0 {
+	if dep.Acc.Events() == 0 {
 		t.Error("honeypot recorded nothing")
 	}
 }
@@ -76,7 +81,12 @@ func TestFullStudy(t *testing.T) {
 		t.Fatalf("bots run: %d", stats.BotsRun)
 	}
 
-	s := Summarize(dep)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if !dep.Acc.Quiesce(ctx, uint64(stats.Sessions)) {
+		t.Fatal("accumulator never quiesced")
+	}
+	s := dep.Acc.Summary()
 	if s.UniqueScanners != 457 {
 		t.Errorf("unique scanners = %d, want 457", s.UniqueScanners)
 	}
@@ -133,7 +143,7 @@ func TestFullStudy(t *testing.T) {
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(&Deployment{Logs: map[simnet.IP]*Log{}})
+	s := NewAccumulator().Summary()
 	if s.UniqueScanners != 0 || s.CredentialPairs != 0 {
 		t.Errorf("empty summary: %+v", s)
 	}

@@ -245,10 +245,6 @@ type FleetConfig struct {
 	Acc *Accumulator
 	// Events, when non-nil, additionally persists every event as JSONL.
 	Events *EventStream
-	// Buffered additionally retains the legacy per-honeypot Logs — only
-	// sane at legacy scale (equivalence tests); fatal at millions of
-	// sessions.
-	Buffered bool
 	// Now is the fleet clock for deploy stamps and event times; nil means
 	// time.Now.
 	Now func() time.Time
@@ -261,7 +257,7 @@ type FleetConfig struct {
 // DeployFleet installs a differentiated honeypot fleet on the provider:
 // every honeypot draws its lure strategy, personality, hostname, bait tree,
 // and writability from its salt, registers with the streaming accumulator,
-// and (optionally) tees events into a JSONL stream and a buffered Log.
+// and (optionally) tees events into a JSONL stream.
 func DeployFleet(provider *simnet.StaticProvider, cfg FleetConfig) (*Deployment, error) {
 	if cfg.Count <= 0 {
 		return nil, fmt.Errorf("honeypot: count must be positive")
@@ -284,7 +280,6 @@ func DeployFleet(provider *simnet.StaticProvider, cfg FleetConfig) (*Deployment,
 		idle = 20 * time.Second
 	}
 	d := &Deployment{
-		Logs:  make(map[simnet.IP]*Log),
 		Lures: make(map[simnet.IP]LureStrategy, cfg.Count),
 		Acc:   cfg.Acc,
 	}
@@ -296,17 +291,12 @@ func DeployFleet(provider *simnet.StaticProvider, cfg FleetConfig) (*Deployment,
 
 		ipStr := ip.String()
 		cfg.Acc.Register(ipStr, strategy, now())
-		// The stream and log observers run BEFORE the accumulator: once an
-		// event has folded into Acc it is durably in every other sink, so
+		// The stream observer runs BEFORE the accumulator: once an event
+		// has folded into Acc it is durably in the stream too, so
 		// Acc.Quiesce doubles as the close barrier for the event stream.
 		var observers []ftpserver.Observer
 		if cfg.Events != nil {
 			observers = append(observers, cfg.Events.Observer(ipStr, strategy))
-		}
-		if cfg.Buffered {
-			log := &Log{}
-			d.Logs[ip] = log
-			observers = append(observers, log)
 		}
 		observers = append(observers, cfg.Acc.Observer(ipStr))
 

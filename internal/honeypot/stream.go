@@ -15,10 +15,9 @@ import (
 	"ftpcloud/internal/obs"
 )
 
-// This file is the streaming half of the honeypot apparatus. The seed-era
-// path buffered every event in a Log slice and summarized after the fact —
-// fine for 8 honeypots and a few thousand sessions, fatal at Honeybuckets
-// scale (hundreds of honeypots, millions of sessions). The Accumulator
+// This file is the fold of the honeypot apparatus. Events are never
+// buffered: at Honeybuckets scale (hundreds of honeypots, millions of
+// sessions) a retained event log would dominate memory. The Accumulator
 // mirrors analysis.Aggregator's shape instead: per-event incremental folds,
 // a plain-data Snapshot, additive Merge, and deterministic finalizers. Live
 // state is bounded by the *population* (honeypots, attacking IPs, credential
@@ -149,8 +148,7 @@ func (a *Accumulator) Register(honeypotIP string, lure LureStrategy, deployed ti
 
 // Observer returns the per-honeypot streaming observer: an ftpserver
 // Observer that tags the honeypot's identity onto every event and folds it
-// into the shared accumulator. This replaces the buffered Log for fleets at
-// scale — no event is ever retained.
+// into the shared accumulator. No event is ever retained.
 func (a *Accumulator) Observer(honeypotIP string) ftpserver.Observer {
 	return &streamObserver{acc: a, ip: honeypotIP}
 }
@@ -162,10 +160,9 @@ type streamObserver struct {
 
 func (o *streamObserver) Event(e ftpserver.Event) { o.acc.observe(o.ip, e) }
 
-// observe folds one event. The switch mirrors the legacy Summarize loop,
-// with two deliberate fixes: deletes count successful EventDelete
+// observe folds one event. Deletes count successful EventDelete
 // observations (not every DELE command), and nothing here depends on
-// iteration order, so streamed and buffered folds agree byte for byte.
+// event order, so any interleaving of sessions finalizes identically.
 func (a *Accumulator) observe(honeypotIP string, e ftpserver.Event) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

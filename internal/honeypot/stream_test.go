@@ -16,9 +16,7 @@ import (
 	"ftpcloud/internal/simnet"
 )
 
-// deployFleetTest stands up a differentiated fleet with the buffered Logs
-// retained, so streamed and buffered summaries can be compared on identical
-// traffic.
+// deployFleetTest stands up a differentiated fleet at a fixed base address.
 func deployFleetTest(t *testing.T, count int, cfg FleetConfig) (*simnet.Network, *Deployment) {
 	t.Helper()
 	provider := simnet.NewStaticProvider()
@@ -71,46 +69,6 @@ func quiesce(t *testing.T, acc *Accumulator) {
 	t.Fatal("accumulator never quiesced")
 }
 
-// TestStreamedMatchesBufferedSummary is the tentpole equivalence check: the
-// streaming accumulator and the buffered replay must produce byte-identical
-// tables on the same traffic, because they share one fold implementation.
-func TestStreamedMatchesBufferedSummary(t *testing.T) {
-	nw, dep := deployFleetTest(t, 16, FleetConfig{Seed: 9, Buffered: true})
-	runFleet(t, nw, dep, 150, nil)
-
-	streamed := dep.Acc
-	// Rebuild a purely buffered deployment view (no accumulator) and
-	// replay its retained Logs through a fresh fold.
-	buffered := Replay(&Deployment{IPs: dep.IPs, Logs: dep.Logs, Lures: dep.Lures})
-
-	if got, want := Render(streamed.Summary()), Render(buffered.Summary()); got != want {
-		t.Errorf("streamed summary diverges from buffered replay:\nstreamed:\n%s\nbuffered:\n%s", got, want)
-	}
-	if got, want := streamed.CredReuse(0), buffered.CredReuse(0); !reflect.DeepEqual(got, want) {
-		t.Errorf("cred clusters diverge:\nstreamed: %+v\nbuffered: %+v", got, want)
-	}
-	if got, want := streamed.Attribution(), buffered.Attribution(); !reflect.DeepEqual(got, want) {
-		t.Errorf("attribution diverges:\nstreamed: %+v\nbuffered: %+v", got, want)
-	}
-	if streamed.Events() != buffered.Events() {
-		t.Errorf("event counts diverge: streamed %d, buffered %d", streamed.Events(), buffered.Events())
-	}
-}
-
-// TestSummarizePrefersAccumulator: a streaming deployment summarizes from
-// its accumulator even when no Logs were retained.
-func TestSummarizePrefersAccumulator(t *testing.T) {
-	nw, dep := deployFleetTest(t, 4, FleetConfig{Seed: 5})
-	runFleet(t, nw, dep, 40, nil)
-	if len(dep.Logs) != 0 {
-		t.Fatalf("streaming deployment retained %d logs", len(dep.Logs))
-	}
-	s := Summarize(dep)
-	if s.UniqueScanners == 0 {
-		t.Error("accumulator-backed summary saw no scanners")
-	}
-}
-
 // TestTopSourcePrefixDeterministic: when two /8s tie on scanner count, the
 // lexicographically smallest prefix must win every time — the legacy
 // map-iteration selection resolved ties randomly across runs.
@@ -155,7 +113,7 @@ func TestDeletesCountSuccessfulOnly(t *testing.T) {
 	if r, _ := c.Cmd("DELE", "/no-such-file.txt"); !r.Negative() {
 		t.Fatalf("DELE of missing file succeeded: %+v", r)
 	}
-	s := Summarize(dep)
+	s := dep.Acc.Summary()
 	if s.Deletes != 0 {
 		t.Fatalf("failed DELE counted: Deletes = %d, want 0", s.Deletes)
 	}
@@ -169,7 +127,7 @@ func TestDeletesCountSuccessfulOnly(t *testing.T) {
 	}
 	fleet.Run(context.Background())
 	quiesce(t, dep.Acc)
-	s = Summarize(dep)
+	s = dep.Acc.Summary()
 	if s.Uploads != 1 || s.Deletes != 1 {
 		t.Errorf("write probe: uploads/deletes = %d/%d, want 1/1", s.Uploads, s.Deletes)
 	}
@@ -245,7 +203,7 @@ func TestVaultLureRejectsWrites(t *testing.T) {
 	if stats.Errors == 0 {
 		t.Error("write probe against read-only vault reported no error")
 	}
-	s := Summarize(dep)
+	s := dep.Acc.Summary()
 	if s.Uploads != 0 {
 		t.Errorf("vault accepted %d uploads", s.Uploads)
 	}

@@ -14,10 +14,11 @@ import (
 	"sort"
 	"strings"
 
-	"ftpcloud/internal/analysis"
 	"ftpcloud/internal/asdb"
 	"ftpcloud/internal/cvedb"
 	"ftpcloud/internal/dataset"
+	"ftpcloud/internal/fingerprint"
+	"ftpcloud/internal/simnet"
 )
 
 // Kind classifies a finding.
@@ -71,66 +72,87 @@ func sensitiveCategory(name string) string {
 	}
 }
 
-// Build derives notices from a census dataset.
-func Build(in *analysis.Input) []Notice {
-	byAS := map[*asdb.AS][]Finding{}
-	add := func(as *asdb.AS, f Finding) {
-		if as == nil {
-			return
-		}
-		byAS[as] = append(byAS[as], f)
+// Builder folds census records into per-AS notices. It implements
+// dataset.Sink, so a census tees it beside its ledger and streams every
+// record through it once; only the findings are kept, never the records.
+// Observe follows the Sink contract: one goroutine at a time.
+type Builder struct {
+	db   *asdb.DB
+	byAS map[*asdb.AS][]Finding
+}
+
+// NewBuilder returns a Builder that attributes findings to ASes in db.
+func NewBuilder(db *asdb.DB) *Builder {
+	return &Builder{db: db, byAS: map[*asdb.AS][]Finding{}}
+}
+
+// Observe folds one record's findings into its AS's notice. Hosts that did
+// not speak FTP, or whose address no AS announces, contribute nothing.
+func (b *Builder) Observe(rec *dataset.HostRecord) error {
+	if !rec.FTP || b.db == nil {
+		return nil
+	}
+	ip, err := simnet.ParseIP(rec.IP)
+	if err != nil {
+		return nil
+	}
+	as, ok := b.db.Lookup(ip)
+	if !ok {
+		return nil
+	}
+	add := func(kind Kind, detail string) {
+		b.byAS[as] = append(b.byAS[as], Finding{IP: rec.IP, Kind: kind, Detail: detail})
 	}
 
-	for _, rec := range in.Records {
-		if !rec.FTP {
-			continue
-		}
-		as := in.AS(rec)
-
-		if rec.AnonymousOK {
-			cats := map[string]int{}
-			for i := range rec.Files {
-				if rec.Files[i].IsDir {
-					continue
-				}
-				if cat := sensitiveCategory(rec.Files[i].Name); cat != "" {
-					cats[cat]++
-				}
+	if rec.AnonymousOK {
+		cats := map[string]int{}
+		for i := range rec.Files {
+			if rec.Files[i].IsDir {
+				continue
 			}
-			if len(cats) > 0 {
-				var parts []string
-				for _, cat := range sortedKeys(cats) {
-					parts = append(parts, fmt.Sprintf("%s (%d files)", cat, cats[cat]))
-				}
-				add(as, Finding{IP: rec.IP, Kind: KindSensitiveExposure,
-					Detail: "anonymous FTP exposes " + strings.Join(parts, ", ")})
-			}
-			if len(rec.WriteEvidence) > 0 {
-				add(as, Finding{IP: rec.IP, Kind: KindWorldWritable,
-					Detail: fmt.Sprintf("anonymous uploads enabled; %d known abuse-campaign artifacts present", len(rec.WriteEvidence))})
-			}
-			if rec.PortCheck == dataset.PortNotValidated {
-				add(as, Finding{IP: rec.IP, Kind: KindBounceVulnerable,
-					Detail: "server relays data connections to third parties (FTP bounce)"})
+			if cat := sensitiveCategory(rec.Files[i].Name); cat != "" {
+				cats[cat]++
 			}
 		}
-
-		c := in.Classify(rec)
-		if matches := cvedb.Match(c.Software, c.Version); len(matches) > 0 {
-			top := matches[0]
-			for _, m := range matches[1:] {
-				if m.CVSS > top.CVSS {
-					top = m
-				}
+		if len(cats) > 0 {
+			var parts []string
+			for _, cat := range sortedKeys(cats) {
+				parts = append(parts, fmt.Sprintf("%s (%d files)", cat, cats[cat]))
 			}
-			add(as, Finding{IP: rec.IP, Kind: KindKnownCVE,
-				Detail: fmt.Sprintf("%s %s banner matches %s (CVSS %.1f)",
-					c.Software, c.Version, top.ID, top.CVSS)})
+			add(KindSensitiveExposure, "anonymous FTP exposes "+strings.Join(parts, ", "))
+		}
+		if len(rec.WriteEvidence) > 0 {
+			add(KindWorldWritable,
+				fmt.Sprintf("anonymous uploads enabled; %d known abuse-campaign artifacts present", len(rec.WriteEvidence)))
+		}
+		if rec.PortCheck == dataset.PortNotValidated {
+			add(KindBounceVulnerable, "server relays data connections to third parties (FTP bounce)")
 		}
 	}
 
-	notices := make([]Notice, 0, len(byAS))
-	for as, findings := range byAS {
+	c := fingerprint.Classify(rec)
+	if matches := cvedb.Match(c.Software, c.Version); len(matches) > 0 {
+		top := matches[0]
+		for _, m := range matches[1:] {
+			if m.CVSS > top.CVSS {
+				top = m
+			}
+		}
+		add(KindKnownCVE, fmt.Sprintf("%s %s banner matches %s (CVSS %.1f)",
+			c.Software, c.Version, top.ID, top.CVSS))
+	}
+	return nil
+}
+
+// Close implements dataset.Sink; Notices keeps working after it.
+func (b *Builder) Close() error { return nil }
+
+// Notices returns one notice per AS with findings: findings ordered by IP
+// and kind, notices by descending finding count and then AS number, so the
+// output is the same whatever order the records arrived in.
+func (b *Builder) Notices() []Notice {
+	notices := make([]Notice, 0, len(b.byAS))
+	for as, findings := range b.byAS {
 		sort.Slice(findings, func(i, j int) bool {
 			if findings[i].IP != findings[j].IP {
 				return findings[i].IP < findings[j].IP

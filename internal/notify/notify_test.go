@@ -4,13 +4,13 @@ import (
 	"strings"
 	"testing"
 
-	"ftpcloud/internal/analysis"
 	"ftpcloud/internal/asdb"
 	"ftpcloud/internal/dataset"
 	"ftpcloud/internal/simnet"
 )
 
-func testInput(t *testing.T) *analysis.Input {
+// testNotices streams a small hand-built census through a Builder.
+func testNotices(t *testing.T) []Notice {
 	t.Helper()
 	db, err := asdb.NewDB([]*asdb.AS{
 		{Number: 100, Name: "Net A", Type: asdb.TypeHosting,
@@ -21,32 +21,41 @@ func testInput(t *testing.T) *analysis.Input {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &analysis.Input{
-		ASDB: db,
-		Records: []*dataset.HostRecord{
-			{
-				IP: "10.0.0.1", FTP: true, AnonymousOK: true, PortOpen: true,
-				Banner: "ProFTPD 1.3.2 Server",
-				Files: []dataset.FileEntry{
-					{Path: "/d/mail.pst", Name: "mail.pst"},
-					{Path: "/d/passwords.kdbx", Name: "passwords.kdbx"},
-					{Path: "/d/ssh_host_rsa_key", Name: "ssh_host_rsa_key"},
-				},
-				PortCheck: dataset.PortNotValidated,
+	b := NewBuilder(db)
+	for _, rec := range []*dataset.HostRecord{
+		{
+			IP: "10.0.0.1", FTP: true, AnonymousOK: true, PortOpen: true,
+			Banner: "ProFTPD 1.3.2 Server",
+			Files: []dataset.FileEntry{
+				{Path: "/d/mail.pst", Name: "mail.pst"},
+				{Path: "/d/passwords.kdbx", Name: "passwords.kdbx"},
+				{Path: "/d/ssh_host_rsa_key", Name: "ssh_host_rsa_key"},
 			},
-			{
-				IP: "10.0.0.2", FTP: true, AnonymousOK: true, PortOpen: true,
-				Banner:        "FTP server ready.",
-				WriteEvidence: []string{"w0000000t.txt"},
-			},
-			{IP: "20.0.0.1", FTP: true, PortOpen: true, Banner: "(vsFTPd 2.3.2)"},
-			{IP: "20.0.0.2", FTP: true, PortOpen: true, Banner: "FTP server ready."},
+			PortCheck: dataset.PortNotValidated,
 		},
+		{
+			IP: "10.0.0.2", FTP: true, AnonymousOK: true, PortOpen: true,
+			Banner:        "FTP server ready.",
+			WriteEvidence: []string{"w0000000t.txt"},
+		},
+		{IP: "20.0.0.1", FTP: true, PortOpen: true, Banner: "(vsFTPd 2.3.2)"},
+		{IP: "20.0.0.2", FTP: true, PortOpen: true, Banner: "FTP server ready."},
+		{IP: "20.0.0.3", PortOpen: true},
+		{IP: "30.0.0.1", FTP: true, AnonymousOK: true, PortOpen: true,
+			Banner: "(vsFTPd 2.3.2)", WriteEvidence: []string{"w0000000t.txt"}},
+	} {
+		if err := b.Observe(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return b.Notices()
 }
 
 func TestBuildGroupsByAS(t *testing.T) {
-	notices := Build(testInput(t))
+	notices := testNotices(t)
 	if len(notices) != 2 {
 		t.Fatalf("notices = %d", len(notices))
 	}
@@ -74,7 +83,7 @@ func TestBuildGroupsByAS(t *testing.T) {
 }
 
 func TestRenderWithholdsPaths(t *testing.T) {
-	notices := Build(testInput(t))
+	notices := testNotices(t)
 	out := Render(notices[0])
 	for _, want := range []string{"abuse@as100.example.net", "AS100", "email archives (1 files)",
 		"password databases", "cryptographic key material", "FTP bounce"} {
@@ -115,7 +124,7 @@ func TestSensitiveCategory(t *testing.T) {
 }
 
 func TestBuildEmpty(t *testing.T) {
-	if notices := Build(&analysis.Input{}); len(notices) != 0 {
+	if notices := NewBuilder(nil).Notices(); len(notices) != 0 {
 		t.Errorf("empty input produced notices: %+v", notices)
 	}
 }
