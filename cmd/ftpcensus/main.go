@@ -68,7 +68,7 @@ func run() error {
 		identifyWait = flag.Duration("identify-wait", 0,
 			"identification banner wait before sending the trigger (0 = default 2s)")
 		identifyWorkers = flag.Int("identify-workers", 0,
-			"identification worker count per shard (0 = default 32)")
+			"workers identification adds to each shard's pool of -workers (0 = default 32)")
 
 		hostile = flag.Float64("hostile", 0,
 			"fraction of FTP hosts given a hostile fault personality")
@@ -317,8 +317,8 @@ func run() error {
 
 	if *identifyOn {
 		snap := reg.Snapshot()
-		fmt.Fprintf(os.Stderr, "ftpcensus: identification: %d dials, %d passed to enumeration, %d shed, %d errors\n",
-			snap.Counters["identify.dials"], snap.Counters["identify.passed"],
+		fmt.Fprintf(os.Stderr, "ftpcensus: identification: %d dials, %d passed to enumeration (%d on the identifying connection), %d shed, %d errors\n",
+			snap.Counters["identify.dials"], snap.Counters["identify.passed"], snap.Counters["identify.handoffs"],
 			snap.Counters["identify.shed"], snap.Counters["identify.errors"])
 	}
 

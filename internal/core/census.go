@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"ftpcloud/internal/analysis"
@@ -97,13 +96,16 @@ type CensusConfig struct {
 	// discovery and enumeration: every discovered endpoint gets one
 	// connection that reads only its first response bytes (waiting for a
 	// server-first banner, else sending a minimal trigger), and only
-	// endpoints that speak FTP reach the enumerator fleet. Everything
-	// else is recorded as a shed HostRecord (Service set to the sniffed
-	// protocol) and dropped after that single round-trip. Off by default:
+	// endpoints that speak FTP are enumerated, on that same connection
+	// when they greeted unprompted. Everything else is recorded as a shed
+	// HostRecord (Service set to the sniffed protocol) and dropped after
+	// that single round-trip. Off by default:
 	// the two-stage probe→enumerate pipeline is the paper's original
 	// toolchain and stays byte-identical.
 	Identify bool
-	// IdentifyWorkers sets the identification concurrency (default 32).
+	// IdentifyWorkers is how many workers identification adds to each
+	// shard's pool of EnumWorkers (default 32). Every worker identifies an
+	// endpoint and then sheds it or enumerates it on the same connection.
 	IdentifyWorkers int
 	// IdentifyWait bounds the banner and post-trigger read windows; zero
 	// means identify.DefaultBannerWait.
@@ -454,10 +456,18 @@ func (c *Census) runShard(ctx context.Context, cancel context.CancelFunc, start 
 			ByteBudget: c.Config.ByteBudget,
 			Now:        c.Config.Now,
 		},
-		Network:    c.Network,
-		SourceBase: spec.sourceBase,
-		Workers:    c.Config.EnumWorkers,
-		Metrics:    c.Config.Metrics,
+		Network:       c.Network,
+		SourceBase:    spec.sourceBase,
+		Workers:       c.Config.EnumWorkers,
+		Metrics:       c.Config.Metrics,
+		MetricsPrefix: spec.prefix,
+	}
+	if c.Config.Identify {
+		// The identification workers join the fleet, so one pool with
+		// the two stages' connection ceiling identifies and enumerates.
+		fleet.Identify = &identify.Config{BannerWait: c.Config.IdentifyWait}
+		fleet.IdentifyWorkers = c.Config.IdentifyWorkers
+		fleet.IdentifySourceBase = spec.identifySource
 	}
 
 	// The sink chain. The aggregator resolves each record's HTTP join —
@@ -498,23 +508,11 @@ func (c *Census) runShard(ctx context.Context, cancel context.CancelFunc, start 
 	rt.robust = &robust
 	close(rt.ready)
 
-	// Pipeline: scanner results flow straight into the next stage's
-	// intake, in batches so discovery fan-out costs one channel handoff
-	// per slice. With identification enabled the next stage is the
-	// identify pool (which forwards only FTP speakers into the fleet's
-	// intake); otherwise it is the fleet directly.
+	// Pipeline: scanner results flow straight into the fleet's intake, in
+	// batches so discovery fan-out costs one channel handoff per slice.
 	found := make(chan []zmap.Result, 64)
 	in := make(chan simnet.IP, 1024)
 	out := make(chan *dataset.HostRecord, 1024)
-
-	intake := in
-	var idin chan simnet.IP
-	var shed chan identify.Result
-	if c.Config.Identify {
-		idin = make(chan simnet.IP, 1024)
-		shed = make(chan identify.Result, 1024)
-		intake = idin
-	}
 
 	scanErr := make(chan error, 1)
 	go func() {
@@ -523,11 +521,11 @@ func (c *Census) runShard(ctx context.Context, cancel context.CancelFunc, start 
 		scanErr <- err
 	}()
 	go func() {
-		defer close(intake)
+		defer close(in)
 		for batch := range found {
 			for _, r := range batch {
 				select {
-				case intake <- r.IP:
+				case in <- r.IP:
 				case <-ctx.Done():
 					// Drain so the scanner can finish closing.
 					for range found {
@@ -568,46 +566,7 @@ func (c *Census) runShard(ctx context.Context, cancel context.CancelFunc, start 
 		}
 		drained <- sinkErr
 	}()
-	if !c.Config.Identify {
-		fleet.Run(ctx, in, out)
-	} else {
-		// Three-stage funnel: the identify pool owns the fleet intake
-		// (closing it when identification finishes), shed results and
-		// fleet records merge into the one drain stream, and the drain
-		// keeps consuming unconditionally — so neither forwarder ever
-		// blocks against a stopped consumer, even on cancellation.
-		stage := &identify.Stage{
-			Cfg: identify.Config{
-				BannerWait: c.Config.IdentifyWait,
-			},
-			Network:       c.Network,
-			SourceBase:    spec.identifySource,
-			Workers:       c.Config.IdentifyWorkers,
-			Metrics:       c.Config.Metrics,
-			MetricsPrefix: spec.prefix,
-		}
-		fleetOut := make(chan *dataset.HostRecord, 1024)
-		var fwd sync.WaitGroup
-		fwd.Add(2)
-		go func() {
-			defer fwd.Done()
-			stage.Run(ctx, idin, in, shed)
-		}()
-		go func() {
-			defer fwd.Done()
-			for res := range shed {
-				out <- shedRecord(res)
-			}
-		}()
-		go func() {
-			for rec := range fleetOut {
-				out <- rec
-			}
-			fwd.Wait()
-			close(out)
-		}()
-		fleet.Run(ctx, in, fleetOut)
-	}
+	fleet.Run(ctx, in, out)
 	o.sinkErr = <-drained
 	o.closeErr = sink.Close()
 	o.scanErr = <-scanErr
@@ -620,21 +579,6 @@ func (c *Census) runShard(ctx context.Context, cancel context.CancelFunc, start 
 		o.records = coll.Records
 	}
 	return o
-}
-
-// shedRecord converts an identification result into the ledger record of a
-// shed endpoint: discovered, connected, not FTP. The shape deliberately
-// matches what the two-stage pipeline records for the same host — PortOpen
-// set, FTP false — so the discovery funnel counts identically whether the
-// endpoint burned a full enumeration or one identification round-trip; only
-// the Service field (and the saved enumeration) distinguishes the paths.
-func shedRecord(res identify.Result) *dataset.HostRecord {
-	return &dataset.HostRecord{
-		IP:       res.IP,
-		PortOpen: true,
-		Banner:   res.Banner,
-		Service:  string(res.Protocol),
-	}
 }
 
 // assemble merges shard outcomes into one Result, ordering errors by the

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"net"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -42,6 +44,55 @@ func truthCounts(w *worldgen.World) (ftp, nonFTP int) {
 		}
 	}
 	return ftp, nonFTP
+}
+
+// acceptCounter wraps the world's HostProvider and counts the control
+// connections (port 21) each host serves. PortOpen is delegated so the probe
+// fast path is unchanged.
+type acceptCounter struct {
+	world *worldgen.World
+	mu    sync.Mutex
+	n     map[simnet.IP]int
+}
+
+func (a *acceptCounter) PortOpen(ip simnet.IP, port uint16) bool { return a.world.PortOpen(ip, port) }
+
+func (a *acceptCounter) Lookup(ip simnet.IP) simnet.Host {
+	h := a.world.Lookup(ip)
+	if h == nil {
+		return nil
+	}
+	return countedHost{Host: h, ip: ip, a: a}
+}
+
+// counts returns a copy of the per-host accept counts.
+func (a *acceptCounter) counts() map[simnet.IP]int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	out := make(map[simnet.IP]int, len(a.n))
+	for ip, n := range a.n {
+		out[ip] = n
+	}
+	return out
+}
+
+type countedHost struct {
+	simnet.Host
+	ip simnet.IP
+	a  *acceptCounter
+}
+
+func (h countedHost) Handler(port uint16) simnet.Handler {
+	inner := h.Host.Handler(port)
+	if inner == nil || port != 21 {
+		return inner
+	}
+	return simnet.HandlerFunc(func(nw *simnet.Network, conn net.Conn) {
+		h.a.mu.Lock()
+		h.a.n[h.ip]++
+		h.a.mu.Unlock()
+		inner.ServeConn(nw, conn)
+	})
 }
 
 // TestIdentifyPureFTPByteIdentical: on a world where every open endpoint is
@@ -89,7 +140,8 @@ func TestIdentifyPureFTPByteIdentical(t *testing.T) {
 // TestIdentifyMixedWorldSheds: the acceptance property of the staged
 // funnel — on a mixed world every non-FTP endpoint is shed after exactly one
 // identification round-trip (one dial per discovered endpoint, counted by
-// identify.*), every true FTP endpoint is enumerated, and the paper tables
+// identify.*), every true FTP endpoint is enumerated on that same connection
+// (each host serves exactly one control connection), and the paper tables
 // come out byte-identical to the two-stage pipeline that burned a full
 // enumeration slot on every service host.
 func TestIdentifyMixedWorldSheds(t *testing.T) {
@@ -111,9 +163,32 @@ func TestIdentifyMixedWorldSheds(t *testing.T) {
 	}
 
 	legacy := runWithIdentify(t, c, false)
+	accepts := &acceptCounter{world: c.World, n: map[simnet.IP]int{}}
+	c.Network.SetProvider(accepts)
 	before := reg.Snapshot()
 	funnel := runWithIdentify(t, c, true)
 	delta := reg.Snapshot().Sub(before)
+
+	// One control connection per endpoint: identification's connection
+	// is the one FTP hosts are enumerated on.
+	served := accepts.counts()
+	total := 0
+	for _, n := range served {
+		total += n
+	}
+	if got := delta.Counters["identify.dials"]; uint64(total) != got {
+		t.Errorf("hosts served %d control connections for %d identify dials", total, got)
+	}
+	base := uint64(c.World.ScanBase)
+	for off := uint64(0); off < c.World.ScanSize; off++ {
+		ip := simnet.IP(base + off)
+		if truth, ok := c.World.Truth(ip); ok && truth.FTP && served[ip] != 1 {
+			t.Errorf("%s: FTP host served %d control connections, want 1", ip, served[ip])
+		}
+	}
+	if h, p := delta.Counters["identify.handoffs"], delta.Counters["identify.passed"]; h != p {
+		t.Errorf("identify.handoffs = %d, want every passed endpoint (%d) handed off", h, p)
+	}
 
 	// One identification round-trip per discovered endpoint, no retries.
 	open := uint64(ftpHosts + nonFTP)
@@ -170,7 +245,7 @@ func TestIdentifyMixedWorldSheds(t *testing.T) {
 }
 
 // TestIdentifyShardedUnexpectedMerge: N shard pipelines each run their own
-// identification pool, and the merged unexpected-services table (and full
+// identifying worker pool, and the merged unexpected-services table (and full
 // report, and the disclosure notices) is byte-identical to the
 // single-pipeline run — the shed ledger is an additive fold with
 // deterministic tie-breaking like every other accumulator. Per-shard identify counters must sum to the merged view.

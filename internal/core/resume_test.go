@@ -11,6 +11,7 @@ import (
 
 	"ftpcloud/internal/analysis"
 	"ftpcloud/internal/dataset"
+	"ftpcloud/internal/worldgen"
 )
 
 // cancelAtSink forwards records to an inner sink and cancels the run's
@@ -65,7 +66,8 @@ func resumeConfig(seed uint64, scale int, hostile bool) CensusConfig {
 }
 
 // runReference runs the census uninterrupted and returns its rendered
-// tables, sorted ledger, and result.
+// tables (the unexpected-services ledger included), sorted ledger, and
+// result.
 func runReference(t *testing.T, cfg CensusConfig, shards int) (string, []string, *Result) {
 	t.Helper()
 	var ledger bytes.Buffer
@@ -78,26 +80,41 @@ func runReference(t *testing.T, cfg CensusConfig, shards int) (string, []string,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.ComputeTables().Render(), sortedLines(t, ledger.Bytes()), res
+	return res.ComputeTables().RenderFull(), sortedLines(t, ledger.Bytes()), res
 }
 
 // TestKillAndResumeEquivalence: a census killed mid-run and resumed from
 // its truncation checkpoint produces tables and JSONL byte-identical to the
 // same census run uninterrupted — benign and hostile worlds, single and
-// sharded. This is the tentpole acceptance criterion.
+// sharded, and the identification funnel over a mixed world, where one
+// worker pool both sheds service hosts and enumerates FTP hosts on the
+// connection identification opened. This is the tentpole acceptance
+// criterion.
 func TestKillAndResumeEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		hostile bool
+		funnel  bool
 		shards  int
 	}{
-		{"benign/1shard", false, 1},
-		{"benign/4shards", false, 4},
-		{"hostile/1shard", true, 1},
-		{"hostile/4shards", true, 4},
+		{"benign/1shard", false, false, 1},
+		{"benign/4shards", false, false, 4},
+		{"hostile/1shard", true, false, 1},
+		{"hostile/4shards", true, false, 4},
+		{"funnel/1shard", false, true, 1},
+		{"funnel/2shards", false, true, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := resumeConfig(11, 32768, tc.hostile)
+			if tc.funnel {
+				cfg.ServiceMix = worldgen.DefaultServiceMix()
+				cfg.Identify = true
+				// Generous: under the race detector a busy pool can
+				// delay a client-first service's reply past a short
+				// trigger window, and the flipped classification would
+				// fail the comparison for reasons unrelated to resume.
+				cfg.IdentifyWait = 500 * time.Millisecond
+			}
 			wantRender, wantLedger, wantRes := runReference(t, cfg, tc.shards)
 
 			// First leg: same census, killed after 5 records reach the
@@ -182,7 +199,7 @@ func TestKillAndResumeEquivalence(t *testing.T) {
 				t.Error("resumed run flagged truncated")
 			}
 
-			if got := res2.ComputeTables().Render(); got != wantRender {
+			if got := res2.ComputeTables().RenderFull(); got != wantRender {
 				t.Errorf("resumed tables diverge from uninterrupted run:\n got:\n%s\nwant:\n%s", got, wantRender)
 			}
 			gotLedger := sortedLines(t, ledger.Bytes())
@@ -279,7 +296,7 @@ func TestPeriodicCheckpointResumesLikeSIGKILL(t *testing.T) {
 		t.Fatal("uncancelled run flagged truncated")
 	}
 	// Periodic checkpointing must not perturb the run itself.
-	if got := res.ComputeTables().Render(); got != wantRender {
+	if got := res.ComputeTables().RenderFull(); got != wantRender {
 		t.Error("periodic checkpointing changed the census tables")
 	}
 	if lastSnap == nil {
@@ -315,7 +332,7 @@ func TestPeriodicCheckpointResumesLikeSIGKILL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res2.ComputeTables().Render(); got != wantRender {
+	if got := res2.ComputeTables().RenderFull(); got != wantRender {
 		t.Error("recovered tables diverge from uninterrupted run")
 	}
 	gotLedger := sortedLines(t, recovered.Bytes())

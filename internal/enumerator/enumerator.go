@@ -90,7 +90,7 @@ type Config struct {
 	// means 64 MiB; negative disables.
 	ByteBudget int64
 	// Metrics, when non-nil, receives per-interaction latency histograms
-	// under enum.latency.* (dial, banner, list, retr, cmd) — the
+	// under enum.latency.* (dial, banner, list, retr, cmd, tls) — the
 	// LZR-style timing data service identification leans on.
 	Metrics *obs.Registry
 	// Now stamps each record's ScannedAt. Nil means time.Now. Injecting a
@@ -147,7 +147,7 @@ var bannerIPPattern = regexp.MustCompile(`\b(\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3})
 // latencies is one enumeration's histogram set, resolved from the registry
 // once per host (never per operation).
 type latencies struct {
-	dial, banner, list, retr, cmd *obs.Histogram
+	dial, banner, list, retr, cmd, tls *obs.Histogram
 }
 
 // noLatencies absorbs observations when no registry is configured; sharing
@@ -161,6 +161,7 @@ func newLatencies(reg *obs.Registry) *latencies {
 		list:   reg.Histogram("enum.latency.list"),
 		retr:   reg.Histogram("enum.latency.retr"),
 		cmd:    reg.Histogram("enum.latency.cmd"),
+		tls:    reg.Histogram("enum.latency.tls"),
 	}
 }
 
@@ -196,6 +197,12 @@ type session struct {
 // unbounded data (byte budget); transient transport faults are retried with
 // jittered backoff.
 func Enumerate(ctx context.Context, cfg Config, targetIP string) *dataset.HostRecord {
+	return enumerate(ctx, cfg, targetIP, nil)
+}
+
+// enumerate is Enumerate, optionally continuing on a control connection
+// already open to the host (see replayConn); a nil handoff dials fresh.
+func enumerate(ctx context.Context, cfg Config, targetIP string, handoff net.Conn) *dataset.HostRecord {
 	cfg = cfg.withDefaults()
 	now := cfg.Now
 	if now == nil {
@@ -216,7 +223,7 @@ func Enumerate(ctx context.Context, cfg Config, targetIP string) *dataset.HostRe
 	}
 	s.bud.maxBytes = cfg.ByteBudget
 
-	banner, ok := s.connect()
+	banner, ok := s.connect(handoff)
 	if !ok {
 		return rec
 	}
@@ -266,21 +273,40 @@ func retryableDial(err error) bool {
 	return !strings.Contains(err.Error(), "connection refused")
 }
 
-// connect dials the control channel and reads the banner, spending the retry
-// budget on transient failures. A garbage banner (protocol violation) or a
-// well-formed non-220 greeting is an answer about the host, not a transient
-// fault, and is never retried.
-func (s *session) connect() (ftp.Reply, bool) {
+// replayConn is a control connection handed over after identification: it
+// serves the bytes identification already read (prefix) before reading the
+// connection itself, so the FTP reader parses the same stream a fresh dial
+// would have delivered.
+type replayConn struct {
+	net.Conn
+	prefix []byte
+}
+
+func (c *replayConn) Read(p []byte) (int, error) {
+	if len(c.prefix) == 0 {
+		return c.Conn.Read(p)
+	}
+	n := copy(p, c.prefix)
+	c.prefix = c.prefix[n:]
+	return n, nil
+}
+
+// connect reads the banner off the handed-over connection nc, or off a fresh
+// dial when nc is nil, spending the retry budget on transient failures. A
+// failed banner read on a handed-over connection is retried with a redial
+// exactly like one on a fresh dial. A garbage banner (protocol violation) or
+// a well-formed non-220 greeting is an answer about the host, not a
+// transient fault, and is never retried.
+func (s *session) connect(nc net.Conn) (ftp.Reply, bool) {
 	addr := net.JoinHostPort(s.target, fmt.Sprintf("%d", s.cfg.Port))
 	pol := s.cfg.Retry
 
-	var nc net.Conn
-	var err error
-	for attempt := 1; ; attempt++ {
+	for attempt := 1; nc == nil; attempt++ {
 		start := time.Now()
-		nc, err = s.cfg.Dialer.Dial("tcp", addr)
+		c, err := s.cfg.Dialer.Dial("tcp", addr)
 		s.lat.dial.Since(start)
 		if err == nil {
+			nc = c
 			break
 		}
 		if attempt >= pol.Attempts || !retryableDial(err) {
@@ -318,6 +344,7 @@ func (s *session) connect() (ftp.Reply, bool) {
 		s.rec.Retries++
 		time.Sleep(pol.backoff(s.target, attempt))
 		redial := time.Now()
+		var err error
 		nc, err = s.cfg.Dialer.Dial("tcp", addr)
 		s.lat.dial.Since(redial)
 		if err != nil {
@@ -454,7 +481,10 @@ func (s *session) upgradeTLS() bool {
 	// arming, so it gets its own budget-clipped deadline; afterwards the
 	// deadline is cleared because every subsequent operation re-arms it.
 	tc.SetDeadline(time.Now().Add(s.opTimeout()))
-	if err := tc.Handshake(); err != nil {
+	start := time.Now()
+	err := tc.Handshake()
+	s.lat.tls.Since(start)
+	if err != nil {
 		s.rec.ConnTerminated = true
 		s.markDegraded(classifyErr(err))
 		return false

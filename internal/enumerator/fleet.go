@@ -2,11 +2,14 @@ package enumerator
 
 import (
 	"context"
+	"net"
 	"sync"
 	"time"
 
 	"ftpcloud/internal/dataset"
+	"ftpcloud/internal/fingerprint"
 	"ftpcloud/internal/ftp"
+	"ftpcloud/internal/identify"
 	"ftpcloud/internal/obs"
 	"ftpcloud/internal/simnet"
 )
@@ -29,14 +32,27 @@ type Fleet struct {
 	// (enum.hosts, enum.inflight, enum.host_seconds) and passes the
 	// registry down to each enumeration for per-command latencies.
 	Metrics *obs.Registry
+
+	// Identify, when non-nil, makes each worker identify its endpoint
+	// first (see package identify). A non-FTP endpoint becomes a shed
+	// record; an FTP endpoint is enumerated on the same connection, or on
+	// a fresh dial if it needed the trigger. Its Dialer is ignored.
+	Identify *identify.Config
+	// IdentifyWorkers adds workers to the pool when Identify is set; 0
+	// means 32. Worker Workers+j binds IdentifySourceBase+j.
+	IdentifyWorkers    int
+	IdentifySourceBase simnet.IP
+	// MetricsPrefix namespaces the identify.* counters per shard
+	// ("shard3."); prefixed counters also feed the unprefixed merged view.
+	MetricsPrefix string
 }
 
 // deliverGrace bounds how long a worker waits to hand over a finished
 // record after cancellation before giving up on the consumer.
 const deliverGrace = 5 * time.Second
 
-// Run enumerates every IP from in, sending records to out in completion
-// order. It closes out when done.
+// Run enumerates (or sheds, see Identify) every IP from in, sending records
+// to out in completion order. It closes out when done.
 //
 // Cancellation is graceful with respect to finished work: a record whose
 // enumeration completed is still delivered after ctx is cancelled — losing
@@ -50,17 +66,55 @@ func (f *Fleet) Run(ctx context.Context, in <-chan simnet.IP, out chan<- *datase
 	if workers <= 0 {
 		workers = 32
 	}
+	extra := 0
+	var idm identifyMetrics
+	if f.Identify != nil {
+		extra = f.IdentifyWorkers
+		if extra <= 0 {
+			extra = 32
+		}
+		idm = newIdentifyMetrics(f.Metrics, f.MetricsPrefix)
+	}
 	hosts := f.Metrics.Counter("enum.hosts")
 	inflight := f.Metrics.Gauge("enum.inflight")
 	hostDur := f.Metrics.Histogram("enum.host_seconds", obs.WideBuckets...)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for k := 0; k < workers+extra; k++ {
+		src := simnet.IP(uint64(f.SourceBase) + uint64(k))
+		if k >= workers {
+			src = simnet.IP(uint64(f.IdentifySourceBase) + uint64(k-workers))
+		}
 		wg.Add(1)
 		go func(src simnet.IP) {
 			defer wg.Done()
+			dialer := simnet.Dialer{Net: f.Network, Src: src}
 			cfg := f.Cfg
-			cfg.Dialer = simnet.Dialer{Net: f.Network, Src: src}
+			cfg.Dialer = dialer
 			cfg.Metrics = f.Metrics
+			var idcfg identify.Config
+			if f.Identify != nil {
+				idcfg = *f.Identify
+				idcfg.Dialer = dialer
+			}
+			visit := func(ip string) *dataset.HostRecord {
+				var handoff net.Conn
+				if f.Identify != nil {
+					res, conn := idm.open(ctx, idcfg, ip)
+					if res.Protocol != fingerprint.ProtoFTP {
+						return shedRecord(res)
+					}
+					if conn != nil {
+						handoff = &replayConn{Conn: conn, prefix: []byte(res.Banner)}
+					}
+				}
+				inflight.Inc()
+				start := time.Now()
+				rec := enumerate(ctx, cfg, ip, handoff)
+				hostDur.Since(start)
+				inflight.Dec()
+				hosts.Inc()
+				return rec
+			}
 			for {
 				select {
 				case <-ctx.Done():
@@ -69,12 +123,7 @@ func (f *Fleet) Run(ctx context.Context, in <-chan simnet.IP, out chan<- *datase
 					if !ok {
 						return
 					}
-					inflight.Inc()
-					start := time.Now()
-					rec := Enumerate(ctx, cfg, ip.String())
-					hostDur.Since(start)
-					inflight.Dec()
-					hosts.Inc()
+					rec := visit(ip.String())
 					select {
 					case out <- rec:
 					case <-ctx.Done():
@@ -91,9 +140,65 @@ func (f *Fleet) Run(ctx context.Context, in <-chan simnet.IP, out chan<- *datase
 					}
 				}
 			}
-		}(simnet.IP(uint64(f.SourceBase) + uint64(i)))
+		}(src)
 	}
 	wg.Wait()
+}
+
+// identifyMetrics is the identification ledger: identify.dials,
+// identify.passed, identify.shed, identify.triggered, identify.errors and
+// identify.handoffs as per-shard child counters, and the identify.latency
+// histogram.
+type identifyMetrics struct {
+	dials, passed, shed, triggered, errors, handoffs *obs.Counter
+	latency                                          *obs.Histogram
+}
+
+func newIdentifyMetrics(reg *obs.Registry, prefix string) identifyMetrics {
+	return identifyMetrics{
+		dials:     reg.ChildCounter(prefix, "identify.dials"),
+		passed:    reg.ChildCounter(prefix, "identify.passed"),
+		shed:      reg.ChildCounter(prefix, "identify.shed"),
+		triggered: reg.ChildCounter(prefix, "identify.triggered"),
+		errors:    reg.ChildCounter(prefix, "identify.errors"),
+		handoffs:  reg.ChildCounter(prefix, "identify.handoffs"),
+		latency:   reg.Histogram("identify.latency", obs.DefaultLatencyBuckets...),
+	}
+}
+
+// open runs identify.Open on one endpoint and records the outcome.
+func (m identifyMetrics) open(ctx context.Context, cfg identify.Config, ip string) (identify.Result, net.Conn) {
+	start := time.Now()
+	res, conn := identify.Open(ctx, cfg, ip)
+	m.latency.Since(start)
+	m.dials.Inc()
+	if res.Triggered {
+		m.triggered.Inc()
+	}
+	if res.Err != nil {
+		m.errors.Inc()
+	}
+	if res.Protocol != fingerprint.ProtoFTP {
+		m.shed.Inc()
+		return res, nil
+	}
+	m.passed.Inc()
+	if conn != nil {
+		m.handoffs.Inc()
+	}
+	return res, conn
+}
+
+// shedRecord is the ledger record of an endpoint identification shed. It has
+// the shape enumeration records for a non-FTP host (PortOpen set, FTP false),
+// so the discovery funnel counts it the same; only Service tells them apart.
+func shedRecord(res identify.Result) *dataset.HostRecord {
+	return &dataset.HostRecord{
+		IP:       res.IP,
+		PortOpen: true,
+		Banner:   res.Banner,
+		Service:  string(res.Protocol),
+	}
 }
 
 // SimCollector is the third-party endpoint used by the PORT-validation

@@ -78,3 +78,27 @@ func TestNonFTPBytesNeverClassify(t *testing.T) {
 		}
 	}
 }
+
+// FuzzSniffProtocol: any first response sniffs without panicking, and only
+// an RFC 959 reply opening — a reply class digit 1-6, two more digits, then
+// a space or the multi-line hyphen — sniffs as FTP.
+func FuzzSniffProtocol(f *testing.F) {
+	for _, tc := range nonFTPFirstBytes {
+		f.Add(tc.bytes)
+	}
+	for _, s := range []string{"220 ProFTPD ready\r\n", "220-Welcome\r\n", "150 ", "720 x", "22", "2", ""} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got := SniffProtocol(b)
+		opening := len(b) >= 4 && b[0] >= '1' && b[0] <= '6' &&
+			b[1] >= '0' && b[1] <= '9' && b[2] >= '0' && b[2] <= '9' &&
+			(b[3] == ' ' || b[3] == '-')
+		if (got == ProtoFTP) != opening {
+			t.Errorf("SniffProtocol(%q) = %q; FTP reply opening: %v", b, got, opening)
+		}
+		if len(b) == 0 && got != ProtoNone {
+			t.Errorf("no bytes sniffed as %q, want %q", got, ProtoNone)
+		}
+	})
+}

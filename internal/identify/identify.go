@@ -7,20 +7,18 @@
 // identify reads only the first response bytes off a fresh connection
 // (waiting briefly for a server-first banner, then sending one minimal
 // trigger for client-first protocols), fingerprints the protocol, and
-// routes. FTP endpoints flow on to the enumerator fleet unchanged;
-// everything else is recorded and shed after exactly one connection and at
-// most one trigger round-trip.
+// routes. An FTP endpoint that greeted unprompted keeps its connection: Open
+// hands it to the enumerator with the banner bytes already read, so the host
+// is dialed once. Everything else is recorded and shed after exactly one
+// connection and at most one trigger round-trip.
 package identify
 
 import (
 	"context"
 	"net"
-	"sync"
 	"time"
 
 	"ftpcloud/internal/fingerprint"
-	"ftpcloud/internal/obs"
-	"ftpcloud/internal/simnet"
 )
 
 // Dialer abstracts connection establishment, mirroring enumerator.Dialer so
@@ -55,13 +53,6 @@ type Config struct {
 	BannerWait time.Duration
 	// MaxBytes caps the first-response read; zero means DefaultMaxBytes.
 	MaxBytes int
-	// Metrics, when non-nil, records the stage's ledger: identify.dials,
-	// identify.passed, identify.shed, identify.triggered,
-	// identify.errors, and the identify.latency histogram.
-	Metrics *obs.Registry
-	// MetricsPrefix namespaces per-shard counters ("shard3."); prefixed
-	// counters also feed the unprefixed merged view.
-	MetricsPrefix string
 }
 
 // Result is one endpoint's identification outcome.
@@ -83,8 +74,23 @@ type Result struct {
 }
 
 // Identify classifies one endpoint with a single connection: wait for a
-// banner, else send the trigger, sniff whatever came back first.
+// banner, else send the trigger, sniff whatever came back first. The
+// connection is closed before it returns.
 func Identify(ctx context.Context, cfg Config, ip string) Result {
+	res, conn := Open(ctx, cfg, ip)
+	if conn != nil {
+		conn.Close()
+	}
+	return res
+}
+
+// Open is Identify that keeps the connection when it is worth keeping: an
+// endpoint that sniffed as FTP without the trigger is returned live, its
+// read deadline cleared. The server has then seen no bytes from us, and
+// Result.Banner holds every byte read off the connection, so an FTP client
+// continues the session by replaying Banner ahead of it. In every other case
+// the connection is closed and Open returns nil.
+func Open(ctx context.Context, cfg Config, ip string) (Result, net.Conn) {
 	res := Result{IP: ip, Protocol: fingerprint.ProtoNone}
 	wait := cfg.BannerWait
 	if wait <= 0 {
@@ -98,13 +104,23 @@ func Identify(ctx context.Context, cfg Config, ip string) Result {
 	conn, err := cfg.Dialer.Dial("tcp", net.JoinHostPort(ip, "21"))
 	if err != nil {
 		res.Err = err
-		return res
+		return res, nil
 	}
-	defer conn.Close()
 	if d, ok := ctx.Deadline(); ok && time.Until(d) < wait {
 		wait = time.Until(d)
 	}
+	sniff(conn, wait, maxBytes, &res)
+	if res.Protocol != fingerprint.ProtoFTP || res.Triggered {
+		conn.Close()
+		return res, nil
+	}
+	conn.SetReadDeadline(time.Time{})
+	return res, conn
+}
 
+// sniff reads the endpoint's first response off conn into res: the banner
+// if one arrives within wait, else the answer to the trigger.
+func sniff(conn net.Conn, wait time.Duration, maxBytes int, res *Result) {
 	buf := make([]byte, maxBytes)
 	conn.SetReadDeadline(time.Now().Add(wait))
 	n, readErr := conn.Read(buf)
@@ -112,16 +128,16 @@ func Identify(ctx context.Context, cfg Config, ip string) Result {
 		// Quiet so far: either client-first or dead air. One trigger
 		// round-trip decides which — unless the peer already hung up.
 		if readErr != nil && !isTimeout(readErr) {
-			return res
+			return
 		}
 		res.Triggered = true
 		if _, err := conn.Write(trigger); err != nil {
-			return res
+			return
 		}
 		conn.SetReadDeadline(time.Now().Add(wait))
 		n, _ = conn.Read(buf)
 		if n == 0 {
-			return res
+			return
 		}
 	}
 	// A dripping peer's first chunk can be a byte or two — too short to
@@ -138,7 +154,6 @@ func Identify(ctx context.Context, cfg Config, ip string) Result {
 	}
 	res.Banner = string(buf[:n])
 	res.Protocol = fingerprint.SniffProtocol(buf[:n])
-	return res
 }
 
 // indecisive reports that the bytes so far are both unrecognized and too few
@@ -152,110 +167,4 @@ func indecisive(b []byte) bool {
 func isTimeout(err error) bool {
 	ne, ok := err.(net.Error)
 	return ok && ne.Timeout()
-}
-
-// Stage fans identification over a stream of discovered endpoints, the
-// pipeline segment between discovery and enumeration.
-type Stage struct {
-	// Cfg parameterizes each identification. Its Dialer is ignored; each
-	// worker gets its own source-bound dialer.
-	Cfg Config
-	// Network is the simulated Internet.
-	Network *simnet.Network
-	// SourceBase is the first identification source address; worker i
-	// binds SourceBase+i.
-	SourceBase simnet.IP
-	// Workers is the concurrency; 0 means 32.
-	Workers int
-	// Metrics and MetricsPrefix override Cfg's when non-nil/non-empty.
-	Metrics       *obs.Registry
-	MetricsPrefix string
-}
-
-// stageMetrics resolves the stage's instruments once.
-type stageMetrics struct {
-	dials     *obs.Counter
-	passed    *obs.Counter
-	shed      *obs.Counter
-	triggered *obs.Counter
-	errors    *obs.Counter
-	latency   *obs.Histogram
-}
-
-func newStageMetrics(reg *obs.Registry, prefix string) stageMetrics {
-	return stageMetrics{
-		dials:     reg.ChildCounter(prefix, "identify.dials"),
-		passed:    reg.ChildCounter(prefix, "identify.passed"),
-		shed:      reg.ChildCounter(prefix, "identify.shed"),
-		triggered: reg.ChildCounter(prefix, "identify.triggered"),
-		errors:    reg.ChildCounter(prefix, "identify.errors"),
-		latency:   reg.Histogram("identify.latency", obs.DefaultLatencyBuckets...),
-	}
-}
-
-// Run identifies every endpoint from in, forwarding FTP endpoints to ftp
-// (in identification-completion order) and everything else to shed. It
-// closes ftp and shed when done — the enumerator fleet downstream sees a
-// normal intake close, and the drain knows the shed stream is complete.
-func (s *Stage) Run(ctx context.Context, in <-chan simnet.IP, ftp chan<- simnet.IP, shed chan<- Result) {
-	defer close(ftp)
-	defer close(shed)
-	workers := s.Workers
-	if workers <= 0 {
-		workers = 32
-	}
-	reg := s.Metrics
-	if reg == nil {
-		reg = s.Cfg.Metrics
-	}
-	prefix := s.MetricsPrefix
-	if prefix == "" {
-		prefix = s.Cfg.MetricsPrefix
-	}
-	m := newStageMetrics(reg, prefix)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(src simnet.IP) {
-			defer wg.Done()
-			cfg := s.Cfg
-			cfg.Dialer = simnet.Dialer{Net: s.Network, Src: src}
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case ip, ok := <-in:
-					if !ok {
-						return
-					}
-					start := time.Now()
-					res := Identify(ctx, cfg, ip.String())
-					m.latency.Since(start)
-					m.dials.Inc()
-					if res.Triggered {
-						m.triggered.Inc()
-					}
-					if res.Err != nil {
-						m.errors.Inc()
-					}
-					if res.Protocol == fingerprint.ProtoFTP {
-						m.passed.Inc()
-						select {
-						case ftp <- ip:
-						case <-ctx.Done():
-							return
-						}
-						continue
-					}
-					m.shed.Inc()
-					select {
-					case shed <- res:
-					case <-ctx.Done():
-						return
-					}
-				}
-			}
-		}(simnet.IP(uint64(s.SourceBase) + uint64(i)))
-	}
-	wg.Wait()
 }

@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"ftpcloud/internal/fingerprint"
-	"ftpcloud/internal/obs"
 	"ftpcloud/internal/simnet"
-	"ftpcloud/internal/worldgen"
 )
 
 // scriptedNet is a test HostProvider mapping addresses to port-21 handlers —
@@ -201,133 +199,77 @@ func TestIdentifyChaosGarbageBanner(t *testing.T) {
 	}
 }
 
-// stageOver runs a Stage over the first open endpoints of a world and
-// returns the routed FTP addresses, shed results, and the metrics registry.
-func stageOver(t *testing.T, w *worldgen.World, feed []simnet.IP) (map[simnet.IP]bool, []Result, *obs.Registry) {
-	t.Helper()
-	reg := obs.NewRegistry()
-	stage := &Stage{
-		Cfg:        Config{BannerWait: 120 * time.Millisecond},
-		Network:    simnet.NewNetwork(w),
-		SourceBase: simnet.MustParseIP("250.0.1.1"),
-		Workers:    16,
-		Metrics:    reg,
+// TestOpenHandsOffGreetingFTP: an FTP endpoint that greeted unprompted comes
+// back live, with the banner in the result and nothing sent by identification
+// — the first bytes the server reads are the client's first command.
+func TestOpenHandsOffGreetingFTP(t *testing.T) {
+	const banner = "220 ProFTPD 1.3.5 Server ready\r\n"
+	ip := simnet.MustParseIP("198.51.100.7")
+	first := make(chan string, 1)
+	nw := simnet.NewNetwork(scriptedNet{ip: func(_ *simnet.Network, conn net.Conn) {
+		defer conn.Close()
+		conn.Write([]byte(banner))
+		buf := make([]byte, 64)
+		n, _ := conn.Read(buf)
+		first <- string(buf[:n])
+	}})
+	cfg := Config{
+		Dialer:     simnet.Dialer{Net: nw, Src: simnet.MustParseIP("250.0.0.1")},
+		BannerWait: time.Second,
 	}
-	in := make(chan simnet.IP)
-	ftp := make(chan simnet.IP, len(feed))
-	shed := make(chan Result, len(feed))
-	go func() {
-		for _, ip := range feed {
-			in <- ip
-		}
-		close(in)
-	}()
-	stage.Run(context.Background(), in, ftp, shed)
-	passed := map[simnet.IP]bool{}
-	for ip := range ftp {
-		passed[ip] = true
+	res, conn := Open(context.Background(), cfg, ip.String())
+	if conn == nil {
+		t.Fatalf("greeting FTP endpoint not handed off: %+v", res)
 	}
-	var shedRes []Result
-	for r := range shed {
-		shedRes = append(shedRes, r)
+	defer conn.Close()
+	if res.Protocol != fingerprint.ProtoFTP || res.Triggered || res.Banner != banner {
+		t.Fatalf("result %+v, want untriggered ftp with banner %q", res, banner)
 	}
-	return passed, shedRes, reg
-}
-
-// openEndpoints collects the first n discovered endpoints (FTP and service
-// hosts alike) of a world, as the probe stage would hand them over.
-func openEndpoints(t *testing.T, w *worldgen.World, n int) (feed []simnet.IP, ftpTruth map[simnet.IP]bool) {
-	t.Helper()
-	ftpTruth = map[simnet.IP]bool{}
-	base := uint64(w.ScanBase)
-	for off := uint64(0); off < w.ScanSize && len(feed) < n; off++ {
-		ip := simnet.IP(base + off)
-		truth, ok := w.Truth(ip)
-		if !ok || (!truth.FTP && !truth.NonFTPOpen) {
-			continue
-		}
-		feed = append(feed, ip)
-		if truth.FTP {
-			ftpTruth[ip] = true
-		}
-	}
-	if len(feed) < n {
-		t.Fatalf("world yielded only %d open endpoints, want %d", len(feed), n)
-	}
-	return feed, ftpTruth
-}
-
-// TestIdentifyStageMixedWorld: over a benign mixed world, the stage routes
-// every true FTP endpoint to the enumerator and sheds every service host
-// after exactly one identification dial — the one-round-trip economics the
-// funnel is built on.
-func TestIdentifyStageMixedWorld(t *testing.T) {
-	p := worldgen.DefaultParams(11, 262144)
-	p.FTPRateOfOpen = 0.35
-	p.ServiceMix = worldgen.DefaultServiceMix()
-	w, err := worldgen.New(p)
-	if err != nil {
+	if _, err := conn.Write([]byte("NOOP\r\n")); err != nil {
 		t.Fatal(err)
 	}
-	feed, ftpTruth := openEndpoints(t, w, 96)
-	passed, shed, reg := stageOver(t, w, feed)
-
-	for ip := range ftpTruth {
-		if !passed[ip] {
-			t.Errorf("%s: true FTP endpoint did not reach the enumerator", ip)
-		}
-	}
-	for _, r := range shed {
-		if ftpTruth[simnet.MustParseIP(r.IP)] {
-			t.Errorf("%s: true FTP endpoint shed as %q", r.IP, r.Protocol)
-		}
-		if r.Protocol == fingerprint.ProtoFTP {
-			t.Errorf("%s: shed result carries protocol ftp", r.IP)
-		}
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["identify.dials"]; got != uint64(len(feed)) {
-		t.Errorf("identify.dials = %d, want exactly one per endpoint (%d)", got, len(feed))
-	}
-	if got := snap.Counters["identify.passed"]; got != uint64(len(ftpTruth)) {
-		t.Errorf("identify.passed = %d, want %d", got, len(ftpTruth))
-	}
-	if got := snap.Counters["identify.shed"]; got != uint64(len(feed)-len(ftpTruth)) {
-		t.Errorf("identify.shed = %d, want %d", got, len(feed)-len(ftpTruth))
-	}
-	if snap.Counters["identify.errors"] != 0 {
-		t.Errorf("benign world produced %d identify errors", snap.Counters["identify.errors"])
+	if got := <-first; got != "NOOP\r\n" {
+		t.Errorf("server first read %q, want the client's first command", got)
 	}
 }
 
-// TestIdentifyStageHostileMixedWorld: with transport faults on both FTP and
-// service hosts, every endpoint is still accounted for — passed plus shed
-// equals dials, and nothing is dialed twice. Faulted FTP hosts may legally
-// shed (a pre-banner reset looks dead from one connection), but the stage
-// must neither hang nor double-count.
-func TestIdentifyStageHostileMixedWorld(t *testing.T) {
-	p := worldgen.DefaultParams(11, 262144)
-	p.FTPRateOfOpen = 0.35
-	p.ServiceMix = worldgen.DefaultServiceMix()
-	p.HostileRate = 0.5
-	w, err := worldgen.New(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed, _ := openEndpoints(t, w, 64)
-	passed, shed, reg := stageOver(t, w, feed)
-
-	snap := reg.Snapshot()
-	if got := snap.Counters["identify.dials"]; got != uint64(len(feed)) {
-		t.Errorf("identify.dials = %d, want %d", got, len(feed))
-	}
-	if got := len(passed) + len(shed); got != len(feed) {
-		t.Errorf("passed %d + shed %d endpoints, fed %d", len(passed), len(shed), len(feed))
-	}
-	if snap.Counters["identify.passed"]+snap.Counters["identify.shed"] != snap.Counters["identify.dials"] {
-		t.Errorf("counter ledger out of balance: %+v", snap.Counters)
-	}
-	if len(passed) == 0 {
-		t.Error("no FTP endpoint survived identification in the hostile world")
+// TestOpenClosesUnlessGreetingFTP: only an untriggered FTP endpoint keeps its
+// connection. A client-first FTP responder has already read the trigger, and
+// a non-FTP endpoint is shed, so both come back closed.
+func TestOpenClosesUnlessGreetingFTP(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		h    simnet.HandlerFunc
+		want fingerprint.Protocol
+	}{
+		{"triggered-ftp", func(_ *simnet.Network, conn net.Conn) {
+			defer conn.Close()
+			buf := make([]byte, 64)
+			if n, _ := conn.Read(buf); n == 0 {
+				return
+			}
+			conn.Write([]byte("500 What?\r\n"))
+			readAll(conn)
+		}, fingerprint.ProtoFTP},
+		{"ssh", func(_ *simnet.Network, conn net.Conn) {
+			defer conn.Close()
+			conn.Write([]byte("SSH-2.0-OpenSSH_7.4\r\n"))
+			readAll(conn)
+		}, fingerprint.ProtoSSH},
+	} {
+		ip := simnet.MustParseIP("198.51.100.7")
+		nw := simnet.NewNetwork(scriptedNet{ip: tc.h})
+		cfg := Config{
+			Dialer:     simnet.Dialer{Net: nw, Src: simnet.MustParseIP("250.0.0.1")},
+			BannerWait: 60 * time.Millisecond,
+		}
+		res, conn := Open(context.Background(), cfg, ip.String())
+		if conn != nil {
+			conn.Close()
+			t.Errorf("%s: connection handed off", tc.name)
+		}
+		if res.Protocol != tc.want {
+			t.Errorf("%s: protocol %q, want %q", tc.name, res.Protocol, tc.want)
+		}
 	}
 }

@@ -1,7 +1,8 @@
 // Command checkmetrics validates a metrics snapshot written by
 // -metrics-out: it must parse as an obs.Snapshot, carry non-zero pipeline
-// counters, and include populated enumerator latency histograms. Used by
-// scripts/smoke.sh.
+// counters whose ledgers balance (every observed record was enumerated or
+// shed by identification), and include populated enumerator latency
+// histograms, the TLS handshake's among them. Used by scripts/smoke.sh.
 package main
 
 import (
@@ -39,11 +40,19 @@ func run() error {
 			return fmt.Errorf("counter %s missing or zero", name)
 		}
 	}
-	if snap.Counters["census.observed"] != snap.Counters["enum.hosts"] {
-		return fmt.Errorf("census.observed=%d disagrees with enum.hosts=%d",
-			snap.Counters["census.observed"], snap.Counters["enum.hosts"])
+	c := snap.Counters
+	if c["census.observed"] != c["enum.hosts"]+c["identify.shed"] {
+		return fmt.Errorf("census.observed=%d disagrees with enum.hosts=%d + identify.shed=%d",
+			c["census.observed"], c["enum.hosts"], c["identify.shed"])
 	}
-	for _, name := range []string{"enum.latency.dial", "enum.latency.banner", "enum.latency.list", "enum.host_seconds"} {
+	if c["identify.dials"] != c["identify.passed"]+c["identify.shed"] {
+		return fmt.Errorf("identify.dials=%d disagrees with identify.passed=%d + identify.shed=%d",
+			c["identify.dials"], c["identify.passed"], c["identify.shed"])
+	}
+	if c["identify.handoffs"] > c["identify.passed"] {
+		return fmt.Errorf("identify.handoffs=%d exceeds identify.passed=%d", c["identify.handoffs"], c["identify.passed"])
+	}
+	for _, name := range []string{"enum.latency.dial", "enum.latency.banner", "enum.latency.list", "enum.latency.tls", "enum.host_seconds"} {
 		h, ok := snap.Histograms[name]
 		if !ok || h.Count == 0 {
 			return fmt.Errorf("histogram %s missing or empty", name)

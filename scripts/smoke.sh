@@ -3,7 +3,9 @@
 #
 # 1. Observability: run a small census with live progress enabled and a
 #    metrics snapshot, then verify the snapshot parses and carries the
-#    counters and latency histograms every stage is supposed to populate.
+#    counters and latency histograms every stage is supposed to populate;
+#    then the same for a 2-shard census through the identification funnel
+#    over a world with services on port 21.
 # 2. Streaming notices across kill/resume: run a 2-shard census with
 #    -notify uninterrupted, then cut the same census mid-scan with
 #    -timeout (rate-limited so the deadline lands inside discovery) and
@@ -24,7 +26,10 @@ census="$work/ftpcensus"
 
 "$census" -scale 65536 -progress 1s -metrics-out "$work/metrics.json" -quiet
 go run ./scripts/checkmetrics "$work/metrics.json"
-echo "smoke: metrics snapshot OK"
+"$census" -scale 65536 -service-mix default -identify -identify-wait 500ms -shards 2 \
+	-metrics-out "$work/funnel-metrics.json" -quiet
+go run ./scripts/checkmetrics "$work/funnel-metrics.json"
+echo "smoke: metrics snapshots OK"
 
 common="-scale 65536 -shards 2 -quiet"
 # shellcheck disable=SC2086 # $common is a deliberate word list
