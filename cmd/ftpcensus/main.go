@@ -77,7 +77,7 @@ func run() error {
 		enumTimeout = flag.Duration("enum-timeout", 0,
 			"per-operation enumerator timeout (0 = default 15s)")
 		enumRetries = flag.Int("enum-retries", 0,
-			"enumerator transport retry attempts (0 = default)")
+			"enumerator attempts for transient faults: control and data dials, banner timeouts and resets (0 = default 2)")
 		hostBudget = flag.Duration("host-budget", 0,
 			"wall-clock budget per enumerated host (0 = default 2m, negative = off)")
 		byteBudget = flag.Int64("byte-budget", 0,

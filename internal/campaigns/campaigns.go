@@ -230,10 +230,14 @@ func IsRamnitBanner(banner string) bool {
 	return strings.Contains(banner, "RMNetwork FTP")
 }
 
+// catalog is the catalogue built once for DetectFilename, which the
+// analysis fold calls for every listed file; it is never handed out.
+var catalog = All()
+
 // DetectFilename maps a filename to the campaigns that drop it.
 func DetectFilename(name string) []string {
 	var keys []string
-	for _, c := range All() {
+	for _, c := range catalog {
 		for _, a := range c.Artifacts {
 			if a.Name == name {
 				keys = append(keys, c.Key)

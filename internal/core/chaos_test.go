@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"ftpcloud/internal/enumerator"
+	"ftpcloud/internal/obs"
 	"ftpcloud/internal/worldgen"
 )
 
@@ -117,5 +119,76 @@ func TestBenignCensusHasQuietCounters(t *testing.T) {
 		if rec.FTP && (rec.Partial || rec.FailureClass != "") {
 			t.Errorf("%s: benign FTP host carries fault evidence %q", rec.IP, rec.FailureClass)
 		}
+	}
+}
+
+// TestBenignCensusSpendsNoRetries: in a benign world nothing is transient.
+// The eof and protocol failures there are port-21 responders that hang up
+// or speak another protocol — answers about the host, not faults — so the
+// default retry policy spends nothing on them, and none of them spoke FTP.
+func TestBenignCensusSpendsNoRetries(t *testing.T) {
+	reg := obs.NewRegistry()
+	c, err := NewCensus(CensusConfig{Seed: 7, Scale: 262144, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Robustness.Retries != 0 {
+		t.Errorf("benign census spent %d retries (failures %v)", res.Robustness.Retries, res.Robustness.Failures)
+	}
+	if got, ok := reg.Snapshot().Counters["enum.retries"]; !ok || got != 0 {
+		t.Errorf("enum.retries = %d (registered %v), want a registered 0", got, ok)
+	}
+	answers := 0
+	for _, rec := range res.Records {
+		switch rec.FailureClass {
+		case enumerator.FailEOF, enumerator.FailProtocol:
+			answers++
+			if rec.FTP {
+				t.Errorf("%s: %s failure on a host that spoke FTP", rec.IP, rec.FailureClass)
+			}
+		}
+	}
+	if answers == 0 {
+		t.Error("no eof/protocol responders in the benign world; the check above is vacuous")
+	}
+}
+
+// TestHostileCensusStillRetriesTransientFaults: retry scoping must not
+// switch retries off. In the hostile world the transient banner fault is a
+// dripped banner outlasting the per-operation timeout; rst and latency
+// hosts ride along (their resets land after the banner, and connect
+// latency delays a dial without failing it). Each retry is charged to a
+// transient class.
+func TestHostileCensusStillRetriesTransientFaults(t *testing.T) {
+	reg := obs.NewRegistry()
+	c, err := NewCensus(CensusConfig{
+		Seed:        7,
+		Scale:       131072,
+		HostileRate: 1,
+		FaultMix:    worldgen.FaultMix{Latency: 1, Reset: 1, Drip: 1},
+		EnumTimeout: 10 * time.Millisecond,
+		HostBudget:  3 * time.Second,
+		Metrics:     reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Robustness.Retries == 0 {
+		t.Fatalf("hostile census recorded no retries (failures %v)", res.Robustness.Failures)
+	}
+	counters := reg.Snapshot().Counters
+	if got := counters["enum.retries"]; got != uint64(res.Robustness.Retries) {
+		t.Errorf("enum.retries = %d, ledger retries %d", got, res.Robustness.Retries)
+	}
+	if got := counters["enum.retries.timeout"] + counters["enum.retries.reset"] + counters["enum.retries.connect"]; got != counters["enum.retries"] {
+		t.Errorf("per-class retries sum to %d, total %d", got, counters["enum.retries"])
 	}
 }

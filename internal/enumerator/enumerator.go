@@ -22,6 +22,7 @@ import (
 	"net"
 	"regexp"
 	"strings"
+	"sync"
 	"time"
 
 	"ftpcloud/internal/campaigns"
@@ -75,8 +76,9 @@ type Config struct {
 	// Port is the control-channel port; 0 means 21. Non-standard ports
 	// matter for testbeds (and for Ramnit-style rogue servers).
 	Port uint16
-	// Retry bounds transport-level retries (control dial, banner read,
-	// data dial) with jittered backoff.
+	// Retry bounds transport-level retries of transient faults (control
+	// dial, a banner read that timed out or was reset, data dial) with
+	// jittered backoff.
 	Retry RetryPolicy
 	// DataIdleTimeout bounds the gap between consecutive data-channel
 	// reads; the deadline rolls forward while bytes flow, so long
@@ -143,6 +145,20 @@ var bannerOptOutMarkers = []string{
 }
 
 var bannerIPPattern = regexp.MustCompile(`\b(\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3})\b`)
+
+// referenceSet is the §VI.A write-evidence reference set; read-only, shared
+// by every traversal.
+var referenceSet = campaigns.ReferenceSet()
+
+// connPool recycles control-connection wrappers, with their 8 KiB of bufio,
+// across hosts and banner redials, like the server's session pool.
+var connPool = sync.Pool{New: func() any { return ftp.NewConn(nil) }}
+
+// dataBufPool holds readData's chunk buffers.
+var dataBufPool = sync.Pool{New: func() any {
+	b := make([]byte, 16<<10)
+	return &b
+}}
 
 // latencies is one enumeration's histogram set, resolved from the registry
 // once per host (never per operation).
@@ -222,6 +238,11 @@ func enumerate(ctx context.Context, cfg Config, targetIP string, handoff net.Con
 		s.bud.deadline = time.Now().Add(cfg.HostBudget)
 	}
 	s.bud.maxBytes = cfg.ByteBudget
+	s.conn = connPool.Get().(*ftp.Conn)
+	defer func() {
+		s.conn.Reset(nil)
+		connPool.Put(s.conn)
+	}()
 
 	banner, ok := s.connect(handoff)
 	if !ok {
@@ -291,12 +312,27 @@ func (c *replayConn) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// retryableBanner reports whether a failed banner read is worth a redial:
+// only a timeout or a reset can be transient. A peer that closes (eof),
+// speaks another protocol or sends garbage (protocol), or fails otherwise
+// (io) has answered for the host and will answer the same way again.
+func retryableBanner(class string) bool {
+	return class == FailTimeout || class == FailReset
+}
+
+// retried accounts one retry, triggered by a failure of the given class, on
+// the record and in the enum.retries counters.
+func (s *session) retried(class string) {
+	s.rec.Retries++
+	s.cfg.Metrics.ClassCounter("enum.retries", class).Inc()
+}
+
 // connect reads the banner off the handed-over connection nc, or off a fresh
 // dial when nc is nil, spending the retry budget on transient failures. A
-// failed banner read on a handed-over connection is retried with a redial
-// exactly like one on a fresh dial. A garbage banner (protocol violation) or
-// a well-formed non-220 greeting is an answer about the host, not a
-// transient fault, and is never retried.
+// failed banner read on a handed-over connection follows the same rule as
+// one on a fresh dial: a timeout or reset is retried with a redial (see
+// retryableBanner), anything else ends the host. A well-formed non-220
+// greeting is an answer about the host too, and is never retried.
 func (s *session) connect(nc net.Conn) (ftp.Reply, bool) {
 	addr := net.JoinHostPort(s.target, fmt.Sprintf("%d", s.cfg.Port))
 	pol := s.cfg.Retry
@@ -315,12 +351,12 @@ func (s *session) connect(nc net.Conn) (ftp.Reply, bool) {
 			s.rec.FailureClass = FailConnect
 			return ftp.Reply{}, false
 		}
-		s.rec.Retries++
+		s.retried(FailConnect)
 		time.Sleep(pol.backoff(s.target, attempt))
 	}
 
 	for attempt := 1; ; attempt++ {
-		s.conn = ftp.NewConn(nc)
+		s.conn.Reset(nc)
 		s.conn.Timeout = s.opTimeout()
 		start := time.Now()
 		banner, rerr := s.conn.ReadReply()
@@ -334,14 +370,14 @@ func (s *session) connect(nc net.Conn) (ftp.Reply, bool) {
 			return ftp.Reply{}, false
 		}
 		class := classifyErr(rerr)
-		if class == FailProtocol || attempt >= pol.Attempts {
+		if !retryableBanner(class) || attempt >= pol.Attempts {
 			s.rec.Error = fmt.Sprintf("banner: %v", rerr)
 			s.rec.FailureClass = class
 			return ftp.Reply{}, false
 		}
-		// Transient (reset, timeout, premature EOF): a fresh session
-		// costs one dial and often succeeds against flaky gear.
-		s.rec.Retries++
+		// Transient (reset, timeout): a fresh session costs one dial and
+		// often succeeds against flaky gear.
+		s.retried(class)
 		time.Sleep(pol.backoff(s.target, attempt))
 		redial := time.Now()
 		var err error
@@ -589,7 +625,7 @@ func (s *session) dialData(addr string) (net.Conn, bool) {
 			s.markDegraded(FailConnect)
 			return nil, true
 		}
-		s.rec.Retries++
+		s.retried(FailConnect)
 		time.Sleep(pol.backoff(addr, attempt))
 	}
 }
@@ -601,7 +637,9 @@ func (s *session) dialData(addr string) (net.Conn, bool) {
 // without error (mirroring the old io.LimitReader behaviour).
 func (s *session) readData(dc net.Conn, limit int64) (string, error) {
 	var b strings.Builder
-	buf := make([]byte, 16<<10)
+	bp := dataBufPool.Get().(*[]byte)
+	defer dataBufPool.Put(bp)
+	buf := *bp
 	var total int64
 	for {
 		left, ok := s.bud.timeLeft()
@@ -794,7 +832,6 @@ func (s *session) traverse(ctx context.Context) {
 	queue := []dirItem{{path: "/"}}
 	visited := map[string]bool{"/": true}
 	evidence := map[string]bool{}
-	refSet := campaigns.ReferenceSet()
 	now := time.Now()
 
 	for len(queue) > 0 {
@@ -838,7 +875,7 @@ func (s *session) traverse(ctx context.Context) {
 				Owner:   e.Owner,
 				ModTime: e.ModTime,
 			})
-			if !e.IsDir && refSet[e.Name] && !evidence[e.Name] {
+			if !e.IsDir && referenceSet[e.Name] && !evidence[e.Name] {
 				evidence[e.Name] = true
 				s.rec.WriteEvidence = append(s.rec.WriteEvidence, e.Name)
 			}

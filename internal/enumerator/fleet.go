@@ -29,8 +29,9 @@ type Fleet struct {
 	// Workers is the concurrency; 0 means 32.
 	Workers int
 	// Metrics, when non-nil, registers fleet-level throughput metrics
-	// (enum.hosts, enum.inflight, enum.host_seconds) and passes the
-	// registry down to each enumeration for per-command latencies.
+	// (enum.hosts, enum.inflight, enum.host_seconds), the enum.retries
+	// total, and passes the registry down to each enumeration for
+	// per-command latencies and per-class retry counts.
 	Metrics *obs.Registry
 
 	// Identify, when non-nil, makes each worker identify its endpoint
@@ -78,6 +79,9 @@ func (f *Fleet) Run(ctx context.Context, in <-chan simnet.IP, out chan<- *datase
 	hosts := f.Metrics.Counter("enum.hosts")
 	inflight := f.Metrics.Gauge("enum.inflight")
 	hostDur := f.Metrics.Histogram("enum.host_seconds", obs.WideBuckets...)
+	// Registered up front so a run with no retries reports zero rather
+	// than omitting the counter.
+	f.Metrics.Counter("enum.retries")
 	var wg sync.WaitGroup
 	for k := 0; k < workers+extra; k++ {
 		src := simnet.IP(uint64(f.SourceBase) + uint64(k))

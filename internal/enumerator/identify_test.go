@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -158,34 +159,104 @@ func TestFleetIdentifyHostileMixedWorld(t *testing.T) {
 	}
 }
 
-// TestHandoffBannerFailureRetries: a banner cut short on the handed-off
+// bannerHost serves greeting on srvIP:21, then holds the connection until
+// the client hangs up — or closes at once when hangUp is set. prof, when
+// non-nil, faults every control connection.
+func bannerHost(greeting string, hangUp bool, prof *simnet.FaultProfile) *simnet.Network {
+	provider := simnet.NewStaticProvider()
+	provider.Add(srvIP, 21, simnet.HandlerFunc(func(_ *simnet.Network, conn net.Conn) {
+		defer conn.Close()
+		conn.Write([]byte(greeting))
+		if !hangUp {
+			io.Copy(io.Discard, conn)
+		}
+	}))
+	nw := simnet.NewNetwork(provider)
+	if prof != nil {
+		nw.Faults = portFaults{match: controlPort, prof: *prof}
+	}
+	return nw
+}
+
+// handOff identifies the endpoint and enumerates it on the handed-off
+// connection, returning the record and the dials enumeration added.
+func handOff(t *testing.T, nw *simnet.Network, cfg Config) (*dataset.HostRecord, uint64) {
+	t.Helper()
+	res, conn := identify.Open(context.Background(), identify.Config{Dialer: cfg.Dialer, BannerWait: time.Second}, srvIP.String())
+	if conn == nil {
+		t.Fatalf("banner not handed off: %+v", res)
+	}
+	dials := nw.Stats.Dials.Load()
+	rec := enumerate(context.Background(), cfg, srvIP.String(), &replayConn{Conn: conn, prefix: []byte(res.Banner)})
+	return rec, nw.Stats.Dials.Load() - dials
+}
+
+// TestHandoffBannerFailureRetries: a banner cut by a reset on the handed-off
 // connection is retried with a redial, and the record is the one a fresh
 // enumeration writes — same retries, failure class and error.
 func TestHandoffBannerFailureRetries(t *testing.T) {
-	provider := simnet.NewStaticProvider()
-	provider.Add(srvIP, 21, simnet.HandlerFunc(func(_ *simnet.Network, conn net.Conn) {
-		conn.Write([]byte("220-Welcome to the\r\n220-file archi"))
-		conn.Close()
-	}))
-	nw := simnet.NewNetwork(provider)
+	// The client reads "220-Welcome to the\r\n" (20 bytes), then the
+	// connection resets — on the identified connection and on the redial.
+	nw := bannerHost("220-Welcome to the\r\n220-file archive\r\n220 ready\r\n", false,
+		&simnet.FaultProfile{ResetAfterBytes: 20})
 	cfg := enumConfig(nw)
 	cfg.Retry = RetryPolicy{BaseDelay: time.Millisecond}
 
 	fresh := Enumerate(context.Background(), cfg, srvIP.String())
-	res, conn := identify.Open(context.Background(), identify.Config{Dialer: cfg.Dialer, BannerWait: time.Second}, srvIP.String())
-	if conn == nil {
-		t.Fatalf("cut banner not handed off: %+v", res)
+	handed, redials := handOff(t, nw, cfg)
+	if redials != 1 {
+		t.Errorf("handed-off enumeration dialed %d times, want one redial", redials)
 	}
-	dials := nw.Stats.Dials.Load()
-	handed := enumerate(context.Background(), cfg, srvIP.String(), &replayConn{Conn: conn, prefix: []byte(res.Banner)})
-	if got := nw.Stats.Dials.Load() - dials; got != 1 {
-		t.Errorf("handed-off enumeration dialed %d times, want one redial", got)
-	}
-	if handed.Retries != 1 || handed.FailureClass != FailEOF {
-		t.Errorf("handed-off record: retries %d class %q, want 1 retry and %q", handed.Retries, handed.FailureClass, FailEOF)
+	if handed.Retries != 1 || handed.FailureClass != FailReset {
+		t.Errorf("handed-off record: retries %d class %q, want 1 retry and %q", handed.Retries, handed.FailureClass, FailReset)
 	}
 	if handed.Retries != fresh.Retries || handed.FailureClass != fresh.FailureClass || handed.Error != fresh.Error {
 		t.Errorf("handed-off record diverges from a fresh enumeration:\n got %+v\nwant %+v", handed, fresh)
+	}
+}
+
+// TestBannerAnswersAreNotRetried: a responder that hangs up mid-banner (eof)
+// or sends an unframeable banner (protocol) has answered for the host, so
+// neither a fresh dial nor a handed-off connection is retried — even with
+// retries to spare — and the record keeps the failure's class and error.
+func TestBannerAnswersAreNotRetried(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		greeting string
+		hangUp   bool
+		class    string
+	}{
+		{"eof", "220-Welcome to the\r\n220-file archi", true, FailEOF},
+		{"protocol", "220-Welcome\r\n" + strings.Repeat("x", 2*ftp.MaxLineLen), false, FailProtocol},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw := bannerHost(tc.greeting, tc.hangUp, nil)
+			cfg := enumConfig(nw)
+			cfg.Retry = RetryPolicy{Attempts: 3, BaseDelay: time.Millisecond}
+			reg := obs.NewRegistry()
+			cfg.Metrics = reg
+
+			dials := nw.Stats.Dials.Load()
+			fresh := Enumerate(context.Background(), cfg, srvIP.String())
+			if got := nw.Stats.Dials.Load() - dials; got != 1 {
+				t.Errorf("fresh enumeration dialed %d times, want 1", got)
+			}
+			handed, redials := handOff(t, nw, cfg)
+			if redials != 0 {
+				t.Errorf("handed-off enumeration redialed %d times, want 0", redials)
+			}
+			for path, rec := range map[string]*dataset.HostRecord{"fresh": fresh, "handoff": handed} {
+				if rec.Retries != 0 || rec.FailureClass != tc.class || rec.FTP {
+					t.Errorf("%s: retries %d class %q ftp %v, want 0 retries and %q", path, rec.Retries, rec.FailureClass, rec.FTP, tc.class)
+				}
+				if !strings.HasPrefix(rec.Error, "banner:") || rec.Error != fresh.Error {
+					t.Errorf("%s: Error = %q, want the fresh record's banner error %q", path, rec.Error, fresh.Error)
+				}
+			}
+			if got := reg.Snapshot().Counters["enum.retries"]; got != 0 {
+				t.Errorf("enum.retries = %d, want 0", got)
+			}
+		})
 	}
 }
 

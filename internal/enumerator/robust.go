@@ -27,12 +27,16 @@ const (
 	FailIO          = "io"           // other transport error
 )
 
-// RetryPolicy bounds transport-level retries with jittered exponential
-// backoff. Retries apply to connection establishment and the banner read —
-// the operations a transient fault can defeat without invalidating session
-// state. Mid-session command failures are never retried blindly: replaying a
-// command after an ambiguous failure risks double-counting against the
-// request cap and confusing stateful servers.
+// RetryPolicy bounds transport-level retries of transient faults with
+// jittered exponential backoff. Retries apply to connection establishment
+// (control and data dials; a refusal is final) and to a banner read that
+// timed out or was reset — the operations a transient fault can defeat
+// without invalidating session state. A banner that ends in EOF, a protocol
+// violation or another I/O error is the host's answer and ends the host at
+// once: a responder that hangs up or speaks another protocol does the same
+// on every dial. Mid-session command failures are never retried blindly:
+// replaying a command after an ambiguous failure risks double-counting
+// against the request cap and confusing stateful servers.
 type RetryPolicy struct {
 	// Attempts is the total number of tries (1 = no retry). Zero means
 	// the default of 2.

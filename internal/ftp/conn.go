@@ -63,11 +63,11 @@ func (c *Conn) NetConn() net.Conn { return c.nc }
 // Upgrade replaces the underlying connection (after a TLS handshake) while
 // preserving the wrapper. Any bytes buffered from the old connection are
 // discarded; AUTH TLS semantics guarantee the server sends nothing between
-// its 234 reply and the handshake.
+// its 234 reply and the handshake. Both buffers are reused.
 func (c *Conn) Upgrade(nc net.Conn) {
 	c.nc = nc
-	c.r = bufio.NewReaderSize(nc, 4096)
-	c.w = bufio.NewWriterSize(nc, 4096)
+	c.r.Reset(nc)
+	c.w.Reset(nc)
 }
 
 // Close closes the underlying connection.

@@ -124,6 +124,19 @@ func TestConnReadTimeout(t *testing.T) {
 	}
 }
 
+// TestUpgradeAllocatesNothing: swapping the connection under a Conn (after
+// an AUTH TLS handshake) reuses its bufio reader and writer.
+func TestUpgradeAllocatesNothing(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	c := NewConn(a)
+	allocs := testing.AllocsPerRun(100, func() { c.Upgrade(b) })
+	if allocs != 0 {
+		t.Errorf("Upgrade allocated %.1f times per run, want 0", allocs)
+	}
+}
+
 func TestConnCmd(t *testing.T) {
 	client, server := pipePair(t)
 	go func() {

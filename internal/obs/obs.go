@@ -184,13 +184,30 @@ func (r *Registry) ChildCounter(prefix, name string) *Counter {
 	if prefix == "" || r == nil {
 		return r.Counter(name)
 	}
-	parent := r.Counter(name)
+	return r.linked(prefix+name, name)
+}
+
+// ClassCounter returns the counter named name+"."+class whose increments
+// also flow into the counter named name — one child per cause under a
+// total, e.g. "enum.retries.reset" under "enum.retries". A nil registry
+// hands out a standalone counter.
+func (r *Registry) ClassCounter(name, class string) *Counter {
+	if r == nil {
+		return NewCounter()
+	}
+	return r.linked(name+"."+class, name)
+}
+
+// linked returns the counter named child, creating it with the counter
+// named parent as its parent.
+func (r *Registry) linked(child, parent string) *Counter {
+	p := r.Counter(parent)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[prefix+name]
+	c, ok := r.counters[child]
 	if !ok {
-		c = &Counter{parent: parent}
-		r.counters[prefix+name] = c
+		c = &Counter{parent: p}
+		r.counters[child] = c
 	}
 	return c
 }

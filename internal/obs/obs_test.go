@@ -240,6 +240,23 @@ func TestChildCounterFlowsToParent(t *testing.T) {
 	}
 }
 
+// TestChildCounterPerClass: ClassCounter children are named after their
+// class under the total and feed it, like prefixed shard children.
+func TestChildCounterPerClass(t *testing.T) {
+	reg := NewRegistry()
+	reg.ClassCounter("enum.retries", "timeout").Add(2)
+	reg.ClassCounter("enum.retries", "reset").Inc()
+	if again := reg.ClassCounter("enum.retries", "reset"); again != reg.Counter("enum.retries.reset") {
+		t.Error("ClassCounter did not resolve to the registered child")
+	}
+	c := reg.Snapshot().Counters
+	if c["enum.retries.timeout"] != 2 || c["enum.retries.reset"] != 1 || c["enum.retries"] != 3 {
+		t.Errorf("per-class counters %v, want timeout 2, reset 1, total 3", c)
+	}
+	var nilReg *Registry
+	nilReg.ClassCounter("enum.retries", "reset").Inc()
+}
+
 func TestChildCounterDegenerateForms(t *testing.T) {
 	reg := NewRegistry()
 	// Empty prefix is the plain counter.

@@ -244,6 +244,54 @@ func TestConnDeadlines(t *testing.T) {
 	}
 }
 
+// TestConnDeadlineRearm: a re-armed deadline fires at its new time, in
+// either direction, and a deadline moved later does not fire at the old one.
+func TestConnDeadlineRearm(t *testing.T) {
+	a, b := NewConnPair(Addr{IP: 1, Port: 1000}, Addr{IP: 2, Port: 21})
+	defer a.Close()
+	defer b.Close()
+	buf := make([]byte, 1)
+
+	a.SetReadDeadline(time.Now().Add(time.Hour))
+	a.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+	start := time.Now()
+	if _, err := a.Read(buf); err == nil {
+		t.Fatal("read succeeded, want timeout at the earlier re-armed deadline")
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Fatalf("re-armed deadline fired after %v", waited)
+	}
+
+	a.SetReadDeadline(time.Now().Add(10 * time.Millisecond))
+	a.SetReadDeadline(time.Now().Add(time.Hour))
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		b.Write([]byte("x"))
+	}()
+	if _, err := a.Read(buf); err != nil {
+		t.Fatalf("deadline moved later fired at its old time: %v", err)
+	}
+}
+
+// TestConnDeadlineRearmAllocatesNothing: a live connection keeps one timer
+// per deadline, so re-arming it — which ftp.Conn does before every read and
+// write — allocates nothing after the first arm.
+func TestConnDeadlineRearmAllocatesNothing(t *testing.T) {
+	a, b := NewConnPair(Addr{IP: 1, Port: 1000}, Addr{IP: 2, Port: 21})
+	defer a.Close()
+	defer b.Close()
+	a.SetDeadline(time.Now().Add(time.Hour))
+	allocs := testing.AllocsPerRun(100, func() {
+		a.SetReadDeadline(time.Now().Add(time.Hour))
+		a.SetWriteDeadline(time.Now().Add(time.Hour))
+		a.SetReadDeadline(time.Time{})
+		a.SetDeadline(time.Now().Add(time.Minute))
+	})
+	if allocs != 0 {
+		t.Errorf("re-arming deadlines allocated %.1f times per run, want 0", allocs)
+	}
+}
+
 func asNetError(err error, target *net.Error) bool {
 	ne, ok := err.(net.Error)
 	if ok {

@@ -47,7 +47,12 @@ func newHalfPipe() *halfPipe {
 }
 
 // deadline manages a single settable deadline; when it fires it wakes
-// blocked goroutines so they can observe expiry.
+// blocked goroutines so they can observe expiry. Its one timer is created
+// on the first arm and re-armed with Reset afterwards, because ftp.Conn
+// re-arms a deadline before every read and write and a new timer each time
+// would allocate on every control-channel operation. A wake left over from
+// an earlier arm is harmless: waiters re-check expired() before returning
+// a timeout.
 type deadline struct {
 	t     time.Time
 	timer *time.Timer
@@ -55,20 +60,22 @@ type deadline struct {
 }
 
 func (d *deadline) set(t time.Time) {
-	if d.timer != nil {
-		d.timer.Stop()
-		d.timer = nil
-	}
 	d.t = t
 	if t.IsZero() {
+		d.stop()
 		return
 	}
 	dur := time.Until(t)
 	if dur <= 0 {
+		d.stop()
 		d.wake()
 		return
 	}
-	d.timer = time.AfterFunc(dur, d.wake)
+	if d.timer == nil {
+		d.timer = time.AfterFunc(dur, d.wake)
+		return
+	}
+	d.timer.Reset(dur)
 }
 
 // stop cancels a pending timer without clearing the deadline itself.
@@ -78,7 +85,6 @@ func (d *deadline) set(t time.Time) {
 func (d *deadline) stop() {
 	if d.timer != nil {
 		d.timer.Stop()
-		d.timer = nil
 	}
 }
 

@@ -1,8 +1,10 @@
-// Command checkmetrics validates a metrics snapshot written by
-// -metrics-out: it must parse as an obs.Snapshot, carry non-zero pipeline
-// counters whose ledgers balance (every observed record was enumerated or
-// shed by identification), and include populated enumerator latency
-// histograms, the TLS handshake's among them. Used by scripts/smoke.sh.
+// Command checkmetrics validates a metrics snapshot that -metrics-out wrote
+// for a census of a benign world: it must parse as an obs.Snapshot, carry
+// non-zero pipeline counters whose ledgers balance (every observed record
+// was enumerated or shed by identification), report enum.retries as 0 (in
+// a benign world nothing is transient, so a retry is backoff spent on an
+// answer), and include populated enumerator latency histograms, the TLS
+// handshake's among them. Used by scripts/smoke.sh.
 package main
 
 import (
@@ -48,6 +50,11 @@ func run() error {
 	if c["identify.dials"] != c["identify.passed"]+c["identify.shed"] {
 		return fmt.Errorf("identify.dials=%d disagrees with identify.passed=%d + identify.shed=%d",
 			c["identify.dials"], c["identify.passed"], c["identify.shed"])
+	}
+	if retries, ok := c["enum.retries"]; !ok {
+		return fmt.Errorf("counter enum.retries missing")
+	} else if retries != 0 {
+		return fmt.Errorf("enum.retries=%d in a benign world, want 0", retries)
 	}
 	if c["identify.handoffs"] > c["identify.passed"] {
 		return fmt.Errorf("identify.handoffs=%d exceeds identify.passed=%d", c["identify.handoffs"], c["identify.passed"])

@@ -3,9 +3,11 @@
 #
 # 1. Observability: run a small census with live progress enabled and a
 #    metrics snapshot, then verify the snapshot parses and carries the
-#    counters and latency histograms every stage is supposed to populate;
-#    then the same for a 2-shard census through the identification funnel
-#    over a world with services on port 21.
+#    counters and latency histograms every stage is supposed to populate,
+#    and no enumerator retries: the default world is benign, and its
+#    eof/protocol failures are non-FTP responders answering for the host.
+#    Then the same for a 2-shard census through the identification funnel
+#    over a (still benign) world with services on port 21.
 # 2. Streaming notices across kill/resume: run a 2-shard census with
 #    -notify uninterrupted, then cut the same census mid-scan with
 #    -timeout (rate-limited so the deadline lands inside discovery) and
