@@ -877,10 +877,12 @@ func BenchmarkShedVsEnumerate(b *testing.B) {
 // extra round-trip on every true FTP endpoint.
 func BenchmarkMixedCensus(b *testing.B) {
 	run := func(b *testing.B, on bool) {
+		params := worldgen.DefaultParams(11, benchScale()*8)
+		params.ServiceMix = worldgen.DefaultServiceMix()
 		census, err := core.NewCensus(core.CensusConfig{
 			Seed:         11,
 			Scale:        benchScale() * 8,
-			ServiceMix:   worldgen.DefaultServiceMix(),
+			Params:       &params,
 			Identify:     on,
 			IdentifyWait: 100 * time.Millisecond,
 			EnumTimeout:  500 * time.Millisecond,

@@ -99,18 +99,23 @@ func run() error {
 		return fmt.Errorf("-shards %d out of range: must be between 1 and 63", *shards)
 	}
 
-	mix, err := worldgen.ParseFaultMix(*faultMix)
-	if err != nil {
+	// A non-positive -scale means the census default, as in core.NewCensus.
+	if *scale < 1 {
+		*scale = 2048
+	}
+	world := worldgen.DefaultParams(*seed, *scale)
+	world.Epoch = *epoch
+	world.HostileRate = *hostile
+	var err error
+	if world.FaultMix, err = worldgen.ParseFaultMix(*faultMix); err != nil {
 		return err
 	}
-
 	// The empty flag keeps the benign world bit-identical to pre-service
 	// seeds; "default" opts into the LZR-shaped mix without spelling it out.
-	var svcMix worldgen.ServiceMix
-	if *serviceMix != "" {
-		if *serviceMix == "default" {
-			svcMix = worldgen.DefaultServiceMix()
-		} else if svcMix, err = worldgen.ParseServiceMix(*serviceMix); err != nil {
+	if *serviceMix == "default" {
+		world.ServiceMix = worldgen.DefaultServiceMix()
+	} else if *serviceMix != "" {
+		if world.ServiceMix, err = worldgen.ParseServiceMix(*serviceMix); err != nil {
 			return err
 		}
 	}
@@ -154,7 +159,7 @@ func run() error {
 		// Snapshot on every exit path — a truncated or failed run still
 		// leaves its metrics behind for postmortem.
 		defer func() {
-			if err := writeSnapshot(reg, *metricsOut); err != nil {
+			if err := reg.Snapshot().WriteFile(*metricsOut); err != nil {
 				fmt.Fprintf(os.Stderr, "ftpcensus: metrics snapshot: %v\n", err)
 			} else {
 				fmt.Fprintf(os.Stderr, "ftpcensus: wrote metrics snapshot to %s\n", *metricsOut)
@@ -193,7 +198,7 @@ func run() error {
 	sharded, err := core.NewShardedCensus(core.CensusConfig{
 		Seed:            *seed,
 		Scale:           *scale,
-		Epoch:           *epoch,
+		Params:          &world,
 		EnumWorkers:     *workers,
 		Retries:         *retries,
 		ScanRate:        *rate,
@@ -201,12 +206,9 @@ func run() error {
 		Checkpoint:      policy,
 		Resume:          resumeSnap,
 		RetainRecords:   core.RetainNone,
-		ServiceMix:      svcMix,
 		Identify:        *identifyOn,
 		IdentifyWait:    *identifyWait,
 		IdentifyWorkers: *identifyWorkers,
-		HostileRate:     *hostile,
-		FaultMix:        mix,
 		EnumTimeout:     *enumTimeout,
 		EnumRetry:       enumerator.RetryPolicy{Attempts: *enumRetries},
 		HostBudget:      *hostBudget,
@@ -526,18 +528,6 @@ func writeAggregateSnapshot(result *core.Result, path string) error {
 		return err
 	}
 	if err := snap.Encode(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeSnapshot(reg *obs.Registry, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.Snapshot().WriteJSON(f); err != nil {
 		f.Close()
 		return err
 	}

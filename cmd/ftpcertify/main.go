@@ -53,16 +53,8 @@ func run() error {
 	report, err := auditor.Audit(context.Background(), flag.Arg(0))
 	reg.Histogram("certify.audit_seconds", obs.WideBuckets...).Since(start)
 	if *metricsOut != "" {
-		f, ferr := os.Create(*metricsOut)
-		if ferr != nil {
-			return ferr
-		}
-		if werr := reg.Snapshot().WriteJSON(f); werr != nil {
-			f.Close()
+		if werr := reg.Snapshot().WriteFile(*metricsOut); werr != nil {
 			return werr
-		}
-		if cerr := f.Close(); cerr != nil {
-			return cerr
 		}
 		fmt.Fprintf(os.Stderr, "ftpcertify: wrote timing snapshot to %s\n", *metricsOut)
 	}

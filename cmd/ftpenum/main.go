@@ -89,15 +89,7 @@ func run() error {
 	rec := enumerator.Enumerate(context.Background(), cfg, target)
 
 	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			return err
-		}
-		if err := reg.Snapshot().WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := reg.Snapshot().WriteFile(*metricsOut); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "ftpenum: wrote latency snapshot to %s\n", *metricsOut)

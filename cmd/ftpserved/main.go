@@ -64,18 +64,6 @@ func servedProgress(w io.Writer, delta, cur obs.Snapshot, elapsed time.Duration)
 		cur.Counters["ftpserver.logins"])
 }
 
-func writeSnapshot(reg *obs.Registry, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.Snapshot().WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func run() error {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:2121", "listen address")
@@ -214,7 +202,7 @@ func run() error {
 	}
 	if *metricsOut != "" {
 		defer func() {
-			if err := writeSnapshot(reg, *metricsOut); err != nil {
+			if err := reg.Snapshot().WriteFile(*metricsOut); err != nil {
 				fmt.Fprintf(os.Stderr, "ftpserved: metrics snapshot: %v\n", err)
 			} else {
 				fmt.Fprintf(os.Stderr, "ftpserved: wrote metrics snapshot to %s\n", *metricsOut)

@@ -10,7 +10,7 @@
 // Usage:
 //
 //	honeypotd -honeypots 8 -attackers 457 -seed 3
-//	honeypotd -honeypots 200 -bots 5000 -sessions 1000000 \
+//	honeypotd -honeypots 200 -attackers 5000 -sessions 1000000 \
 //	    -lure-mix webroot=4,backup=2,media=2,vault=1,bare=1 \
 //	    -events-out events.jsonl
 package main
@@ -40,7 +40,6 @@ func run() error {
 	var (
 		honeypots    = flag.Int("honeypots", 8, "number of honeypots (paper: 8)")
 		attackers    = flag.Int("attackers", 457, "attacker population (paper: 457 unique IPs)")
-		bots         = flag.Int("bots", 0, "alias for -attackers (fleet-scale naming); takes precedence when set")
 		sessions     = flag.Int64("sessions", 0, "campaign session budget; 0 = legacy one-visit-per-bot-target shape")
 		concurrency  = flag.Int("concurrency", 0, "in-flight attacker session cap (0 = fleet default)")
 		lureMix      = flag.String("lure-mix", "", "lure strategy weights, e.g. webroot=4,backup=2,media=2,vault=1,bare=1 (empty = default mix)")
@@ -77,14 +76,7 @@ func run() error {
 	}
 	if *metricsOut != "" {
 		defer func() {
-			f, err := os.Create(*metricsOut)
-			if err == nil {
-				err = reg.Snapshot().WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
+			if err := reg.Snapshot().WriteFile(*metricsOut); err != nil {
 				fmt.Fprintf(os.Stderr, "honeypotd: metrics snapshot: %v\n", err)
 			} else {
 				fmt.Fprintf(os.Stderr, "honeypotd: wrote metrics snapshot to %s\n", *metricsOut)
@@ -106,14 +98,10 @@ func run() error {
 		events = honeypot.NewEventStream(dataset.NewLines(f))
 	}
 
-	population := *attackers
-	if *bots > 0 {
-		population = *bots
-	}
 	rep, err := core.HoneypotStudy(ctx, core.HoneypotStudyConfig{
 		Seed:         *seed,
 		Honeypots:    *honeypots,
-		Attackers:    population,
+		Attackers:    *attackers,
 		Concentrated: *concentrated,
 		Sessions:     *sessions,
 		Concurrency:  *concurrency,

@@ -44,9 +44,12 @@ var (
 
 // CensusConfig sizes a census run.
 type CensusConfig struct {
-	// Seed derandomizes the world and the scan order.
+	// Seed derandomizes the scan order and probe loss, and the world when
+	// Params is nil.
 	Seed uint64
-	// Scale divides the paper's full-Internet population (see worldgen).
+	// Scale divides the paper's full-Internet population (see worldgen);
+	// values below 1 mean 2048. Only the default world reads it: Params,
+	// when set, carries its own Scale.
 	Scale int
 	// ScanWorkers / EnumWorkers set stage parallelism.
 	ScanWorkers int
@@ -60,37 +63,19 @@ type CensusConfig struct {
 	Retries int
 	// LossRate injects deterministic probe loss.
 	LossRate float64
-	// PortProbe enables the PORT-validation test (on by default in
-	// Run; disable for ablations).
-	DisablePortProbe bool
-	// DisableTLS skips certificate collection.
-	DisableTLS bool
 	// RequestCap bounds enumerator requests per connection (default 500).
 	RequestCap int
 	// RealisticLatency applies the world's deterministic 5–150ms
 	// per-pair connection-setup latency; off by default because it
 	// costs real wall-clock time.
 	RealisticLatency bool
-	// Params overrides the generated world's parameters entirely when
-	// non-nil.
+	// Params is the generated world's parameters; nil means
+	// worldgen.DefaultParams(Seed, Scale), the calibrated benign world of
+	// epoch zero. The world-shaping knobs live there: Epoch (longitudinal
+	// churn), HostileRate and FaultMix (hostile fault personalities), and
+	// ServiceMix (real non-FTP services for identification to meet).
+	// Start from DefaultParams and set the ones a run needs.
 	Params *worldgen.Params
-
-	// Epoch advances the generated world through deterministic churn for
-	// longitudinal series (see worldgen.Params.Epoch): same Seed, later
-	// Epoch, and a fraction of hosts have left, appeared, upgraded, or
-	// changed AS. Zero is today's world. Ignored when Params is set
-	// (set Params.Epoch there instead).
-	Epoch uint64
-
-	// HostileRate assigns this fraction of FTP hosts a hostile fault
-	// personality (slow drip, mid-session reset, stalled data channels,
-	// garbage replies, premature EOF, connect latency). Zero — the
-	// default — keeps the calibrated benign world. Ignored when Params
-	// is set (override Params.HostileRate there instead).
-	HostileRate float64
-	// FaultMix weights the hostile classes; the zero value means the
-	// uniform default mix. Only meaningful with HostileRate > 0.
-	FaultMix worldgen.FaultMix
 
 	// Identify inserts the LZR-style identification stage between
 	// discovery and enumeration: every discovered endpoint gets one
@@ -110,12 +95,6 @@ type CensusConfig struct {
 	// IdentifyWait bounds the banner and post-trigger read windows; zero
 	// means identify.DefaultBannerWait.
 	IdentifyWait time.Duration
-	// ServiceMix populates the world's non-FTP open ports with real
-	// dialable services (HTTP, SSH, TLS, telnet, garbage, silent) for the
-	// identification stage to meet. The zero value keeps the legacy
-	// abstract non-FTP hosts — and the world bit-identical to earlier
-	// versions. Ignored when Params is set (set Params.ServiceMix there).
-	ServiceMix worldgen.ServiceMix
 
 	// EnumTimeout bounds individual enumerator control-channel
 	// operations. Zero means 15s.
@@ -278,11 +257,6 @@ func NewCensus(cfg CensusConfig) (*Census, error) {
 	params := worldgen.DefaultParams(cfg.Seed, cfg.Scale)
 	if cfg.Params != nil {
 		params = *cfg.Params
-	} else {
-		params.HostileRate = cfg.HostileRate
-		params.FaultMix = cfg.FaultMix
-		params.ServiceMix = cfg.ServiceMix
-		params.Epoch = cfg.Epoch
 	}
 	world, err := worldgen.New(params)
 	if err != nil {
@@ -363,19 +337,6 @@ func (c *Census) Run(ctx context.Context) (*Result, error) {
 	return c.runN(ctx, 1)
 }
 
-// newCollector builds the PORT-validation collector unless disabled. The
-// returned closer is a no-op when there is nothing to close.
-func (c *Census) newCollector() (enumerator.Collector, func(), error) {
-	if c.Config.DisablePortProbe {
-		return nil, func() {}, nil
-	}
-	sim, err := enumerator.NewSimCollector(c.Network, CollectorIP, 3100)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: collector: %w", err)
-	}
-	return sim, func() { sim.Close() }, nil
-}
-
 // shardSpec parameterizes one census pipeline over the shared world: its
 // stride of the permutation, its source-address block, and the resources
 // shared with sibling shards (the collector and the merged stream) that
@@ -449,7 +410,7 @@ func (c *Census) runShard(ctx context.Context, cancel context.CancelFunc, start 
 		Cfg: enumerator.Config{
 			Collector:  spec.collector,
 			RequestCap: c.Config.RequestCap,
-			TryTLS:     !c.Config.DisableTLS,
+			TryTLS:     true,
 			Timeout:    enumTimeout,
 			Retry:      c.Config.EnumRetry,
 			HostBudget: c.Config.HostBudget,

@@ -7,7 +7,20 @@ import (
 	"time"
 
 	"ftpcloud/internal/dataset"
+	"ftpcloud/internal/worldgen"
 )
+
+// withWorld gives cfg explicit world parameters — cfg.Params when already
+// set, else worldgen.DefaultParams(cfg.Seed, cfg.Scale) — adjusted by set.
+func withWorld(cfg CensusConfig, set func(*worldgen.Params)) CensusConfig {
+	p := worldgen.DefaultParams(cfg.Seed, cfg.Scale)
+	if cfg.Params != nil {
+		p = *cfg.Params
+	}
+	set(&p)
+	cfg.Params = &p
+	return cfg
+}
 
 // testCensus runs a small end-to-end census: scale 32768 scans ~112K
 // addresses holding ~420 FTP servers.

@@ -14,14 +14,15 @@ import (
 // short enumerator budgets so fault paths trigger quickly.
 func chaosCensus(t *testing.T, rate float64, scale int) (*Census, *Result) {
 	t.Helper()
-	c, err := NewCensus(CensusConfig{
+	c, err := NewCensus(withWorld(CensusConfig{
 		Seed:        7,
 		Scale:       scale,
-		HostileRate: rate,
-		FaultMix:    worldgen.DefaultFaultMix(),
 		EnumTimeout: 700 * time.Millisecond,
 		HostBudget:  3 * time.Second,
-	})
+	}, func(p *worldgen.Params) {
+		p.HostileRate = rate
+		p.FaultMix = worldgen.DefaultFaultMix()
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestChaosMixedWorldStillAnalyzes(t *testing.T) {
 	}
 }
 
-// TestBenignCensusHasQuietCounters: with HostileRate zero the degradation
+// TestBenignCensusHasQuietCounters: with Params.HostileRate zero the degradation
 // layer must stay out of the way — no partial records, no skipped subtrees,
 // no fault evidence on any host that spoke FTP.
 func TestBenignCensusHasQuietCounters(t *testing.T) {
@@ -165,15 +166,16 @@ func TestBenignCensusSpendsNoRetries(t *testing.T) {
 // transient class.
 func TestHostileCensusStillRetriesTransientFaults(t *testing.T) {
 	reg := obs.NewRegistry()
-	c, err := NewCensus(CensusConfig{
+	c, err := NewCensus(withWorld(CensusConfig{
 		Seed:        7,
 		Scale:       131072,
-		HostileRate: 1,
-		FaultMix:    worldgen.FaultMix{Latency: 1, Reset: 1, Drip: 1},
 		EnumTimeout: 10 * time.Millisecond,
 		HostBudget:  3 * time.Second,
 		Metrics:     reg,
-	})
+	}, func(p *worldgen.Params) {
+		p.HostileRate = 1
+		p.FaultMix = worldgen.FaultMix{Latency: 1, Reset: 1, Drip: 1}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"ftpcloud/internal/analysis"
 	"ftpcloud/internal/dataset"
+	"ftpcloud/internal/enumerator"
 	"ftpcloud/internal/obs"
 	"ftpcloud/internal/simnet"
 	"ftpcloud/internal/zmap"
@@ -93,11 +94,11 @@ func (c *Census) runN(callerCtx context.Context, n int) (*Result, error) {
 	}
 	defer cancel()
 
-	collector, closeCollector, err := c.newCollector()
+	collector, err := enumerator.NewSimCollector(c.Network, CollectorIP, 3100)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: collector: %w", err)
 	}
-	defer closeCollector()
+	defer collector.Close()
 
 	// One merged ledger: with several shards the caller's sink observes
 	// records from N drain goroutines, so serialize it; each shard gets a
@@ -370,8 +371,10 @@ func (c *Census) configDigest() uint64 {
 	h := fnv.New64a()
 	cfg := c.Config
 	p := c.World.Params
-	fmt.Fprintf(h, "retries=%d loss=%g portprobe=%t tls=%t cap=%d identify=%t idwait=%s enumtimeout=%s enumretry=%+v hostbudget=%s bytebudget=%d",
-		cfg.Retries, cfg.LossRate, !cfg.DisablePortProbe, !cfg.DisableTLS, cfg.RequestCap,
+	// PORT validation and certificate collection are always on; their
+	// terms stay in the text so digests of older checkpoints still match.
+	fmt.Fprintf(h, "retries=%d loss=%g portprobe=true tls=true cap=%d identify=%t idwait=%s enumtimeout=%s enumretry=%+v hostbudget=%s bytebudget=%d",
+		cfg.Retries, cfg.LossRate, cfg.RequestCap,
 		cfg.Identify, cfg.IdentifyWait, cfg.EnumTimeout, cfg.EnumRetry, cfg.HostBudget, cfg.ByteBudget)
 	fmt.Fprintf(h, " hostile=%g faultmix=%+v servicemix=%+v churn=%g/%g/%g",
 		p.HostileRate, p.FaultMix, p.ServiceMix, p.ChurnRate, p.UpgradeRate, p.ReallocRate)

@@ -24,14 +24,13 @@ func TestGoldenTables(t *testing.T) {
 		cfg  CensusConfig
 	}{
 		{"benign.golden", CensusConfig{Seed: 7, Scale: 32768}},
-		{"servicemix-identify.golden", CensusConfig{
+		{"servicemix-identify.golden", withWorld(CensusConfig{
 			Seed:         7,
 			Scale:        262144,
-			ServiceMix:   worldgen.DefaultServiceMix(),
 			Identify:     true,
 			IdentifyWait: 150 * time.Millisecond,
 			EnumTimeout:  time.Second,
-		}},
+		}, func(p *worldgen.Params) { p.ServiceMix = worldgen.DefaultServiceMix() })},
 	}
 	for _, w := range worlds {
 		t.Run(w.file, func(t *testing.T) {

@@ -146,14 +146,13 @@ func TestIdentifyPureFTPByteIdentical(t *testing.T) {
 // enumeration slot on every service host.
 func TestIdentifyMixedWorldSheds(t *testing.T) {
 	reg := obs.NewRegistry()
-	c, err := NewCensus(CensusConfig{
+	c, err := NewCensus(withWorld(CensusConfig{
 		Seed:         7,
 		Scale:        262144,
-		ServiceMix:   worldgen.DefaultServiceMix(),
 		IdentifyWait: 150 * time.Millisecond,
 		EnumTimeout:  time.Second, // keep the legacy run's silent-host timeouts short
 		Metrics:      reg,
-	})
+	}, func(p *worldgen.Params) { p.ServiceMix = worldgen.DefaultServiceMix() }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,14 +250,13 @@ func TestIdentifyMixedWorldSheds(t *testing.T) {
 // deterministic tie-breaking like every other accumulator. Per-shard identify counters must sum to the merged view.
 func TestIdentifyShardedUnexpectedMerge(t *testing.T) {
 	reg := obs.NewRegistry()
-	c, err := NewCensus(CensusConfig{
+	c, err := NewCensus(withWorld(CensusConfig{
 		Seed:         7,
 		Scale:        262144,
-		ServiceMix:   worldgen.DefaultServiceMix(),
 		Identify:     true,
 		IdentifyWait: 150 * time.Millisecond,
 		Metrics:      reg,
-	})
+	}, func(p *worldgen.Params) { p.ServiceMix = worldgen.DefaultServiceMix() }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,18 +306,19 @@ func TestIdentifyShardedUnexpectedMerge(t *testing.T) {
 // connection); what is not legal is losing or duplicating an endpoint.
 func TestIdentifyChaosHostileMixedCensus(t *testing.T) {
 	reg := obs.NewRegistry()
-	c, err := NewCensus(CensusConfig{
+	c, err := NewCensus(withWorld(CensusConfig{
 		Seed:         7,
 		Scale:        262144,
-		ServiceMix:   worldgen.DefaultServiceMix(),
-		HostileRate:  0.4,
-		FaultMix:     worldgen.DefaultFaultMix(),
 		Identify:     true,
 		IdentifyWait: 300 * time.Millisecond,
 		EnumTimeout:  1500 * time.Millisecond,
 		HostBudget:   6 * time.Second,
 		Metrics:      reg,
-	})
+	}, func(p *worldgen.Params) {
+		p.ServiceMix = worldgen.DefaultServiceMix()
+		p.HostileRate = 0.4
+		p.FaultMix = worldgen.DefaultFaultMix()
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

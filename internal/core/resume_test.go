@@ -60,7 +60,7 @@ func resumeConfig(seed uint64, scale int, hostile bool) CensusConfig {
 		Now:           func() time.Time { return stamp },
 	}
 	if hostile {
-		cfg.HostileRate = 0.2
+		cfg = withWorld(cfg, func(p *worldgen.Params) { p.HostileRate = 0.2 })
 	}
 	return cfg
 }
@@ -107,7 +107,7 @@ func TestKillAndResumeEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := resumeConfig(11, 32768, tc.hostile)
 			if tc.funnel {
-				cfg.ServiceMix = worldgen.DefaultServiceMix()
+				cfg = withWorld(cfg, func(p *worldgen.Params) { p.ServiceMix = worldgen.DefaultServiceMix() })
 				cfg.Identify = true
 				// Generous: under the race detector a busy pool can
 				// delay a client-first service's reply past a short
@@ -395,7 +395,9 @@ func TestResumeValidation(t *testing.T) {
 			return run(func(c *CensusConfig, _ *analysis.Snapshot) { c.Seed = 99 }, 1)
 		},
 		"different epoch": func() error {
-			return run(func(c *CensusConfig, _ *analysis.Snapshot) { c.Epoch = 2 }, 1)
+			return run(func(c *CensusConfig, _ *analysis.Snapshot) {
+				*c = withWorld(*c, func(p *worldgen.Params) { p.Epoch = 2 })
+			}, 1)
 		},
 		"different shards": func() error {
 			return run(func(*CensusConfig, *analysis.Snapshot) {}, 4)

@@ -117,14 +117,15 @@ func TestShardedMatchesSingleProcess(t *testing.T) {
 // merge to exactly the single-process ledger. Timeouts are generous so
 // fault outcomes stay deterministic under scheduler load.
 func TestShardedHostileMatchesSingleProcess(t *testing.T) {
-	c, err := NewCensus(CensusConfig{
+	c, err := NewCensus(withWorld(CensusConfig{
 		Seed:        7,
 		Scale:       131072,
-		HostileRate: 0.4,
-		FaultMix:    worldgen.DefaultFaultMix(),
 		EnumTimeout: 1500 * time.Millisecond,
 		HostBudget:  6 * time.Second,
-	})
+	}, func(p *worldgen.Params) {
+		p.HostileRate = 0.4
+		p.FaultMix = worldgen.DefaultFaultMix()
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

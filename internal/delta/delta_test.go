@@ -109,10 +109,12 @@ func censusAt(t *testing.T, epoch uint64) (*analysis.Snapshot, []*dataset.HostRe
 	t.Helper()
 	var ledger bytes.Buffer
 	stamp := time.Date(2016, 2, 22, 0, 0, 0, 0, time.UTC)
+	params := worldgen.DefaultParams(42, 32768)
+	params.Epoch = epoch
 	c, err := core.NewCensus(core.CensusConfig{
 		Seed:          42,
 		Scale:         32768,
-		Epoch:         epoch,
+		Params:        &params,
 		RetainRecords: core.RetainNone,
 		StreamTo:      dataset.NewWriterSink(&ledger),
 		Now:           func() time.Time { return stamp },

@@ -229,6 +229,9 @@ func vaultFS(salt uint64) *vfs.FS {
 	return vfs.New(root)
 }
 
+// sessionIdleTimeout bounds a fleet honeypot session's inactivity.
+const sessionIdleTimeout = 20 * time.Second
+
 // FleetConfig sizes and shapes a differentiated honeypot fleet.
 type FleetConfig struct {
 	// Base is the first honeypot address; honeypot i listens at Base+i.
@@ -248,8 +251,6 @@ type FleetConfig struct {
 	// Now is the fleet clock for deploy stamps and event times; nil means
 	// time.Now.
 	Now func() time.Time
-	// IdleTimeout bounds session inactivity; zero means 20s.
-	IdleTimeout time.Duration
 	// Metrics, when non-nil, wires server and accumulator counters.
 	Metrics *obs.Registry
 }
@@ -274,10 +275,6 @@ func DeployFleet(provider *simnet.StaticProvider, cfg FleetConfig) (*Deployment,
 	now := cfg.Now
 	if now == nil {
 		now = time.Now
-	}
-	idle := cfg.IdleTimeout
-	if idle == 0 {
-		idle = 20 * time.Second
 	}
 	d := &Deployment{
 		Lures: make(map[simnet.IP]LureStrategy, cfg.Count),
@@ -311,7 +308,7 @@ func DeployFleet(provider *simnet.StaticProvider, cfg FleetConfig) (*Deployment,
 			Cert:           cfg.Cert,
 			Observer:       ftpserver.MultiObserver(observers...),
 			Now:            cfg.Now,
-			IdleTimeout:    idle,
+			IdleTimeout:    sessionIdleTimeout,
 			Metrics:        cfg.Metrics,
 		})
 		if err != nil {

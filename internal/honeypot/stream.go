@@ -18,9 +18,8 @@ import (
 // This file is the fold of the honeypot apparatus. Events are never
 // buffered: at Honeybuckets scale (hundreds of honeypots, millions of
 // sessions) a retained event log would dominate memory. The Accumulator
-// mirrors analysis.Aggregator's shape instead: per-event incremental folds,
-// a plain-data Snapshot, additive Merge, and deterministic finalizers. Live
-// state is bounded by the *population* (honeypots, attacking IPs, credential
+// mirrors analysis.Aggregator's shape instead: per-event incremental folds
+// and deterministic finalizers. Live state is bounded by the *population* (honeypots, attacking IPs, credential
 // pairs), never by the session count.
 
 // Clock supplies event timestamps; honeypot fleets inject one so interaction
@@ -319,184 +318,6 @@ func (a *Accumulator) Quiesce(ctx context.Context, dialed uint64) bool {
 		case <-time.After(time.Millisecond):
 		}
 	}
-}
-
-// --- Snapshot / Merge -----------------------------------------------------
-
-// RemoteSnap is one attacking IP's state as plain data.
-type RemoteSnap struct {
-	SpokeFTP  bool
-	HTTPGet   bool
-	Traversed bool
-	Listed    bool
-	AuthTLS   bool
-	CVE       bool
-	RootLogin bool
-	Uploads   int
-	Mkdirs    int
-}
-
-// CredSnap is one credential pair's tally.
-type CredSnap struct {
-	Count   int
-	Sources map[string]bool
-}
-
-// HoneypotSnap is one honeypot's timeline state.
-type HoneypotSnap struct {
-	Lure     LureStrategy
-	Deployed time.Time
-	First    time.Time
-	Probed   bool
-	Sessions int
-}
-
-// CampaignSnap is one attributed campaign's tally.
-type CampaignSnap struct {
-	Events  int
-	Sources map[string]bool
-}
-
-// Snapshot is an Accumulator frozen as plain data, mergeable with snapshots
-// of disjoint traffic the way analysis.Snapshot merges shard aggregates:
-// every field is an additive fold (sets union, flags OR, counters add,
-// first-probe times take the minimum), so merge order cannot change any
-// finalized table.
-type Snapshot struct {
-	Events         uint64
-	Sessions       uint64
-	Closed         uint64
-	Uploads        int
-	Deletes        int
-	AnonLogins     int
-	BounceAttempts int
-	Remotes        map[string]RemoteSnap
-	Creds          map[string]CredSnap
-	BounceTargets  map[string]int
-	Honeypots      map[string]HoneypotSnap
-	Campaigns      map[string]CampaignSnap
-}
-
-// Snapshot captures the accumulator's state as plain data. Safe to call
-// concurrently with observation; the snapshot is a consistent point-in-time
-// copy.
-func (a *Accumulator) Snapshot() *Snapshot {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	s := &Snapshot{
-		Events:         a.events,
-		Sessions:       a.sessions,
-		Closed:         a.closed,
-		Uploads:        a.uploads,
-		Deletes:        a.deletes,
-		AnonLogins:     a.anonOK,
-		BounceAttempts: a.bounceN,
-		Remotes:        make(map[string]RemoteSnap, len(a.remotes)),
-		Creds:          make(map[string]CredSnap, len(a.creds)),
-		BounceTargets:  make(map[string]int, len(a.bounce)),
-		Honeypots:      make(map[string]HoneypotSnap, len(a.honeypots)),
-		Campaigns:      make(map[string]CampaignSnap, len(a.camps)),
-	}
-	for ip, rs := range a.remotes {
-		s.Remotes[ip] = RemoteSnap{
-			SpokeFTP: rs.spokeFTP, HTTPGet: rs.httpGet, Traversed: rs.traversed,
-			Listed: rs.listed, AuthTLS: rs.authTLS, CVE: rs.cve,
-			RootLogin: rs.rootLogin, Uploads: rs.uploads, Mkdirs: rs.mkdirs,
-		}
-	}
-	for pair, cs := range a.creds {
-		s.Creds[pair] = CredSnap{Count: cs.count, Sources: copySet(cs.sources)}
-	}
-	for target, n := range a.bounce {
-		s.BounceTargets[target] = n
-	}
-	for ip, hp := range a.honeypots {
-		s.Honeypots[ip] = HoneypotSnap{
-			Lure: hp.lure, Deployed: hp.deployed, First: hp.first,
-			Probed: hp.probed, Sessions: hp.sessions,
-		}
-	}
-	for key, cs := range a.camps {
-		s.Campaigns[key] = CampaignSnap{Events: cs.events, Sources: copySet(cs.sources)}
-	}
-	return s
-}
-
-// MergeSnapshot folds a snapshot into the accumulator, as if the traffic it
-// summarizes had been observed here.
-func (a *Accumulator) MergeSnapshot(s *Snapshot) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.events += s.Events
-	a.sessions += s.Sessions
-	a.closed += s.Closed
-	a.uploads += s.Uploads
-	a.deletes += s.Deletes
-	a.anonOK += s.AnonLogins
-	a.bounceN += s.BounceAttempts
-	for ip, rsnap := range s.Remotes {
-		rs, ok := a.remotes[ip]
-		if !ok {
-			rs = &remoteState{}
-			a.remotes[ip] = rs
-		}
-		rs.spokeFTP = rs.spokeFTP || rsnap.SpokeFTP
-		rs.httpGet = rs.httpGet || rsnap.HTTPGet
-		rs.traversed = rs.traversed || rsnap.Traversed
-		rs.listed = rs.listed || rsnap.Listed
-		rs.authTLS = rs.authTLS || rsnap.AuthTLS
-		rs.cve = rs.cve || rsnap.CVE
-		rs.rootLogin = rs.rootLogin || rsnap.RootLogin
-		rs.uploads += rsnap.Uploads
-		rs.mkdirs += rsnap.Mkdirs
-	}
-	for pair, csnap := range s.Creds {
-		cs, ok := a.creds[pair]
-		if !ok {
-			cs = &credState{sources: make(map[string]bool, len(csnap.Sources))}
-			a.creds[pair] = cs
-		}
-		cs.count += csnap.Count
-		for src := range csnap.Sources {
-			cs.sources[src] = true
-		}
-	}
-	for target, n := range s.BounceTargets {
-		a.bounce[target] += n
-	}
-	for ip, hsnap := range s.Honeypots {
-		hp, ok := a.honeypots[ip]
-		if !ok {
-			hp = &hpState{lure: hsnap.Lure, deployed: hsnap.Deployed}
-			a.honeypots[ip] = hp
-		}
-		if hsnap.Probed && (!hp.probed || hsnap.First.Before(hp.first)) {
-			hp.probed, hp.first = true, hsnap.First
-		}
-		hp.sessions += hsnap.Sessions
-	}
-	for key, csnap := range s.Campaigns {
-		cs, ok := a.camps[key]
-		if !ok {
-			cs = &campState{sources: make(map[string]bool, len(csnap.Sources))}
-			a.camps[key] = cs
-		}
-		cs.events += csnap.Events
-		for src := range csnap.Sources {
-			cs.sources[src] = true
-		}
-	}
-}
-
-// Merge folds another accumulator's state into this one via its snapshot.
-func (a *Accumulator) Merge(other *Accumulator) { a.MergeSnapshot(other.Snapshot()) }
-
-func copySet(m map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k := range m {
-		out[k] = true
-	}
-	return out
 }
 
 // --- Finalizers -----------------------------------------------------------

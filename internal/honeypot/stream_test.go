@@ -133,49 +133,6 @@ func TestDeletesCountSuccessfulOnly(t *testing.T) {
 	}
 }
 
-// TestSnapshotMergeEquivalence: folding traffic into two accumulators and
-// merging must match folding everything into one — the sharding contract.
-func TestSnapshotMergeEquivalence(t *testing.T) {
-	events := []ftpserver.Event{
-		{Kind: ftpserver.EventConnect, RemoteIP: "9.1.1.1"},
-		{Kind: ftpserver.EventCommand, RemoteIP: "9.1.1.1", Command: "LIST"},
-		{Kind: ftpserver.EventLoginFail, RemoteIP: "9.1.1.1", User: "admin", Pass: "admin"},
-		{Kind: ftpserver.EventConnect, RemoteIP: "9.2.2.2"},
-		{Kind: ftpserver.EventLoginFail, RemoteIP: "9.2.2.2", User: "admin", Pass: "admin"},
-		{Kind: ftpserver.EventUpload, RemoteIP: "9.2.2.2", Path: "/ftpchk3.txt"},
-		{Kind: ftpserver.EventDelete, RemoteIP: "9.2.2.2", Path: "/ftpchk3.txt"},
-		{Kind: ftpserver.EventPortBounceAttempt, RemoteIP: "9.3.3.3", Detail: "203.0.113.66:9999"},
-	}
-	t0 := time.Unix(1_450_000_000, 0)
-
-	whole := NewAccumulator()
-	whole.Register("hp-a", LureWebroot, t0)
-	whole.Register("hp-b", LureVault, t0)
-	left := NewAccumulator()
-	left.Register("hp-a", LureWebroot, t0)
-	right := NewAccumulator()
-	right.Register("hp-b", LureVault, t0)
-
-	for i, e := range events {
-		e.Time = t0.Add(time.Duration(i+1) * time.Second)
-		if i%2 == 0 {
-			whole.observe("hp-a", e)
-			left.observe("hp-a", e)
-		} else {
-			whole.observe("hp-b", e)
-			right.observe("hp-b", e)
-		}
-	}
-
-	merged := NewAccumulator()
-	merged.Merge(left)
-	merged.MergeSnapshot(right.Snapshot())
-
-	if got, want := merged.Report(), whole.Report(); !reflect.DeepEqual(got, want) {
-		t.Errorf("merged report diverges:\nmerged: %+v\nwhole:  %+v", got, want)
-	}
-}
-
 // TestLureDeterminism: the same (seed, index) must always yield the same
 // honeypot, and a default-mix fleet must actually be differentiated.
 func TestLureDeterminism(t *testing.T) {
@@ -341,7 +298,7 @@ func TestParseLureMix(t *testing.T) {
 }
 
 // TestAccumulatorConcurrentFold: many goroutines folding into one
-// accumulator while snapshots are taken — the race detector's target.
+// accumulator while reports are taken — the race detector's target.
 func TestAccumulatorConcurrentFold(t *testing.T) {
 	acc := NewAccumulator()
 	acc.Register("hp", LureWebroot, time.Unix(0, 0))
@@ -359,7 +316,7 @@ func TestAccumulatorConcurrentFold(t *testing.T) {
 		}(g)
 	}
 	for g := 0; g < 4; g++ {
-		acc.Snapshot()
+		acc.Report()
 	}
 	for g := 0; g < 8; g++ {
 		<-done

@@ -16,6 +16,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -352,6 +353,19 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
+}
+
+// WriteFile writes the snapshot as indented JSON to a new file at path.
+func (s Snapshot) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := s.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // sortedKeys returns map keys in stable order for rendering.

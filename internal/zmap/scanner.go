@@ -401,29 +401,6 @@ func (s *Scanner) RunBatches(ctx context.Context, out chan<- []Result) error {
 	return ctx.Err()
 }
 
-// Run scans the target range, sending results to out one at a time. The
-// channel is closed when the scan finishes. Run blocks until complete or
-// ctx cancels. It adapts RunBatches for callers that prefer a flat stream.
-func (s *Scanner) Run(ctx context.Context, out chan<- Result) error {
-	defer close(out)
-	batches := make(chan []Result, 64)
-	errc := make(chan error, 1)
-	go func() { errc <- s.RunBatches(ctx, batches) }()
-	for batch := range batches {
-		for _, r := range batch {
-			select {
-			case out <- r:
-			case <-ctx.Done():
-				for range batches {
-					// Drain so the scan goroutine can finish.
-				}
-				return <-errc
-			}
-		}
-	}
-	return <-errc
-}
-
 // Collect runs the scan and gathers all results into a slice.
 func (s *Scanner) Collect(ctx context.Context) ([]Result, error) {
 	out := make(chan []Result, 64)

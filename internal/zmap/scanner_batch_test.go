@@ -164,22 +164,18 @@ func TestEffectiveRateSumsToGlobalCap(t *testing.T) {
 	}
 }
 
-// TestRunBatchesMatchesRun: the flat Run adapter delivers exactly the hosts
-// RunBatches discovers.
-func TestRunBatchesMatchesRun(t *testing.T) {
+// TestRunBatchesDeliversEveryHost: RunBatches delivers every responsive host
+// exactly once, in non-empty batches no larger than BatchSize.
+func TestRunBatchesDeliversEveryHost(t *testing.T) {
 	base := simnet.MustParseIP("10.0.0.0")
 	hosts := &sparseHosts{base: base, every: 11, size: 5000}
 	nw := simnet.NewNetwork(hosts)
-
-	mk := func() *Scanner {
-		s, err := NewScanner(Config{Network: nw, Base: base, Size: 5000, Port: 21, Seed: 21, Workers: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+	s, err := NewScanner(Config{Network: nw, Base: base, Size: 5000, Port: 21, Seed: 21, Workers: 8})
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	fromBatches := make(map[simnet.IP]bool)
+	found := make(map[simnet.IP]bool)
 	batchCh := make(chan []Result, 16)
 	done := make(chan struct{})
 	go func() {
@@ -192,40 +188,21 @@ func TestRunBatchesMatchesRun(t *testing.T) {
 				t.Errorf("batch of %d exceeds BatchSize %d", len(batch), BatchSize)
 			}
 			for _, r := range batch {
-				fromBatches[r.IP] = true
+				if found[r.IP] {
+					t.Errorf("host %s delivered twice", r.IP)
+				}
+				found[r.IP] = true
 			}
 		}
 	}()
-	if err := mk().RunBatches(context.Background(), batchCh); err != nil {
+	if err := s.RunBatches(context.Background(), batchCh); err != nil {
 		t.Fatal(err)
 	}
 	<-done
 
-	fromRun := make(map[simnet.IP]bool)
-	flat := make(chan Result, 16)
-	done = make(chan struct{})
-	go func() {
-		defer close(done)
-		for r := range flat {
-			fromRun[r.IP] = true
-		}
-	}()
-	if err := mk().Run(context.Background(), flat); err != nil {
-		t.Fatal(err)
-	}
-	<-done
-
-	if len(fromBatches) != len(fromRun) {
-		t.Fatalf("RunBatches found %d hosts, Run found %d", len(fromBatches), len(fromRun))
-	}
-	for ip := range fromRun {
-		if !fromBatches[ip] {
-			t.Errorf("host %s missing from batched results", ip)
-		}
-	}
 	want := 5000/11 + 1
-	if len(fromRun) != want {
-		t.Errorf("found %d hosts, want %d", len(fromRun), want)
+	if len(found) != want {
+		t.Errorf("found %d hosts, want %d", len(found), want)
 	}
 }
 

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Smoke tests over the real ftpcensus binary.
+# Smoke tests over the real ftpcensus and honeypotd binaries.
 #
 # 1. Observability: run a small census with live progress enabled and a
 #    metrics snapshot, then verify the snapshot parses and carries the
@@ -7,7 +7,10 @@
 #    and no enumerator retries: the default world is benign, and its
 #    eof/protocol failures are non-FTP responders answering for the host.
 #    Then the same for a 2-shard census through the identification funnel
-#    over a (still benign) world with services on port 21.
+#    over a (still benign) world with services on port 21. Then the §VIII
+#    honeypot study at its default shape (the paper's 8 honeypots and 457
+#    attackers, one visit per bot-target pair): its snapshot must count every bot and
+#    every one of the 457 x 8 sessions.
 # 2. Streaming notices across kill/resume: run a 2-shard census with
 #    -notify uninterrupted, then cut the same census mid-scan with
 #    -timeout (rate-limited so the deadline lands inside discovery) and
@@ -24,6 +27,7 @@ work="$(mktemp -d /tmp/ftpcensus-smoke.XXXXXX)"
 trap 'rm -rf "$work"' EXIT
 
 go build -o "$work/ftpcensus" ./cmd/ftpcensus
+go build -o "$work/honeypotd" ./cmd/honeypotd
 census="$work/ftpcensus"
 
 "$census" -scale 65536 -progress 1s -metrics-out "$work/metrics.json" -quiet
@@ -31,6 +35,13 @@ go run ./scripts/checkmetrics "$work/metrics.json"
 "$census" -scale 65536 -service-mix default -identify -identify-wait 500ms -shards 2 \
 	-metrics-out "$work/funnel-metrics.json" -quiet
 go run ./scripts/checkmetrics "$work/funnel-metrics.json"
+"$work/honeypotd" -seed 2015 -metrics-out "$work/honeypot-metrics.json" >/dev/null
+for want in '"attacker.bots": 457,' '"attacker.sessions": 3656,'; do
+	if ! grep -qF "$want" "$work/honeypot-metrics.json"; then
+		echo "smoke: honeypotd snapshot lacks $want" >&2
+		exit 1
+	fi
+done
 echo "smoke: metrics snapshots OK"
 
 common="-scale 65536 -shards 2 -quiet"
